@@ -2,16 +2,20 @@
 
 Fixed points are located by bisection on the strictly decreasing auxiliary
 function h(x) = sum_z q_z sum_{j<z} (1-(k-1)x)^{z-1-j} (1-kx)^j - 1, whose
-unique zero on (0, 1/k] is the fixed point of f.  Orbit search is a sign scan
-of f^p(x) - x on a fine grid followed by bisection, excluding roots that
-coincide with lower-period points.  Basin classification iterates f^2 and
-watches which candidate the even-index subsequence settles on.
+unique zero on (0, 1/k] is the fixed point of f.  Orbit search evaluates
+f^p(x) - x on a whole grid in one call, then bisects every sign-changing cell
+at once, excluding roots that coincide with lower-period points.  Bisection
+runs on arrays of brackets and stops once every midpoint equals an endpoint,
+i.e. each bracket has shrunk to adjacent doubles.  Basin classification
+advances all unresolved starts in lockstep, one f^2 call per step, and watches
+which candidate each even-index subsequence settles on.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .dynamics import DynamicsError, ScalarMapSpec, scalar_deriv, scalar_eval, zary_map
 from .offspring import OffspringDistribution
@@ -101,22 +105,27 @@ def _h(dist: OffspringDistribution, k: int, x: float) -> float:
     return total - 1.0
 
 
-def _bisect(g, lo: float, hi: float, iters: int = BISECT_ITERS) -> float:
-    glo = g(lo)
-    ghi = g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo > 0) == (ghi > 0):
-        raise AnalysisError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (g(mid) > 0) == (glo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect(g, lo, hi) -> np.ndarray:
+    """Root of g in each bracket [lo[i], hi[i]], bisecting all brackets at once.
+
+    Stops when every midpoint equals an endpoint (the bracket is two adjacent
+    doubles, where further steps change nothing) or after BISECT_ITERS steps.
+    """
+    # A scalar bracket keeps its midpoints numpy scalars, so _h's powers use the C library
+    # pow as Python floats do; numpy's array power can differ by an ULP and move x_bar.
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    glo, ghi = g(lo), g(hi)
+    if np.any((glo != 0.0) & (ghi != 0.0) & ((glo > 0) == (ghi > 0))):
+        raise AnalysisError(f"no sign change on some bracket in [{lo.min()}, {hi.max()}]")
+    lo_pos = glo > 0
+    a, b = lo, hi
+    for _ in range(BISECT_ITERS):
+        mid = 0.5 * (a + b)
+        if np.all((mid == a) | (mid == b)):
+            break
+        left = (g(mid) > 0) == lo_pos
+        a, b = np.where(left, mid, a), np.where(left, b, mid)
+    return np.where(glo == 0.0, lo, np.where(ghi == 0.0, hi, 0.5 * (a + b)))
 
 
 def _classify(multiplier: float) -> str:
@@ -138,7 +147,7 @@ def find_fixed_point(spec: ScalarMapSpec) -> FixedPointReport:
         # h(1/k) = sum q_z k^{-(z-1)} - 1, which is 0 exactly when k = 1
         x_bar = hi
     else:
-        x_bar = _bisect(lambda x: _h(dist, k, x), 1e-300, hi)
+        x_bar = float(_bisect(lambda x: _h(dist, k, x), 1e-300, hi))
     mult = scalar_deriv(spec, x_bar, 1)
     lower = upper = None
     if spec.is_zary and k >= 2:
@@ -212,28 +221,23 @@ def _x_hat_right(spec: ScalarMapSpec, x_hat: float) -> float:
     if scalar_eval(spec, hi) >= x_hat:
         return hi
     # f is decreasing right of x_hat, so f(x) - x_hat changes sign once there
-    return _bisect(lambda x: scalar_eval(spec, x) - x_hat, x_hat, hi)
+    return float(_bisect(lambda x: scalar_eval(spec, x) - x_hat, x_hat, hi))
 
 
-def _iter_map(spec: ScalarMapSpec, x: float, times: int) -> float:
+def _iter_map(spec: ScalarMapSpec, x, times: int):
     for _ in range(times):
         x = scalar_eval(spec, x)
     return x
 
 
 def _grid_roots(g, lo: float, hi: float, cells: int) -> list[float]:
-    roots = []
-    prev_x = lo
-    prev_v = g(lo)
-    for c in range(1, cells + 1):
-        x = lo + (hi - lo) * c / cells
-        v = g(x)
-        if v == 0.0:
-            roots.append(x)
-        elif (v > 0) != (prev_v > 0):
-            roots.append(_bisect(g, prev_x, x))
-        prev_x, prev_v = x, v
-    return roots
+    """Zeros of g: grid points where it vanishes and a root in every sign-changing cell."""
+    x = lo + (hi - lo) * np.arange(cells + 1) / cells
+    v = g(x)
+    pos = v > 0
+    exact = v[1:] == 0.0
+    change = ~exact & (pos[1:] != pos[:-1])
+    return sorted(x[1:][exact].tolist() + _bisect(g, x[:-1][change], x[1:][change]).tolist())
 
 
 def find_orbit(spec: ScalarMapSpec, period: int, cells: int = ORBIT_GRID_CELLS) -> OrbitReport | None:
@@ -318,41 +322,34 @@ def basin_classify(
         orbit = find_orbit(spec, 2)
     if orbit is None:
         raise DynamicsError("basin classification needs a period-2 orbit; none found")
-    x_left, x_right = orbit.points[0], orbit.points[-1]
-    x_bar = find_fixed_point(spec).x_bar
-    candidates = [(x_left, "orbit_left"), (x_right, "orbit_right"), (x_bar, "fixed_point")]
+    names = ["orbit_left", "orbit_right", "fixed_point", "unresolved"]
+    # label i < 3 means within tol of candidate i; -1 means none (and, as a verdict, unresolved)
+    targets = np.array([orbit.points[0], orbit.points[-1], find_fixed_point(spec).x_bar])
 
     starts = [float(s) for s in starts]
-    verdicts, iters = [], []
-    for x0 in starts:
-        x = x0
-        verdict = "unresolved"
-        streak_label = None
-        streak = 0
-        n = 0
-        while n < max_iters:
-            label = None
-            for cand, name in candidates:
-                if abs(x - cand) < tol:
-                    label = name
-                    break
-            if label is not None and label == streak_label:
-                streak += 1
-                if streak >= BASIN_CONFIRM_STEPS:
-                    verdict = label
-                    break
-            else:
-                streak_label = label
-                streak = 1 if label is not None else 0
-            x = _iter_map(spec, x, 2)
-            n += 1
-        verdicts.append(verdict)
-        iters.append(n)
-
-    fractions = {}
-    for v in ("orbit_left", "orbit_right", "fixed_point", "unresolved"):
-        fractions[v] = verdicts.count(v) / len(starts) if starts else 0.0
-    return BasinReport(starts, verdicts, iters, fractions)
+    verdict = np.full(len(starts), -1)
+    iters = np.full(len(starts), max_iters)
+    # the unresolved starts: their indices, positions, current labels and streak lengths
+    idx = np.arange(len(starts))
+    x = np.array(starts, dtype=float)
+    streak_label = np.full(len(starts), -1)
+    streak = np.zeros(len(starts), dtype=int)
+    for n in range(max_iters):
+        near = np.abs(x[:, None] - targets) < tol
+        label = np.where(near.any(axis=1), near.argmax(axis=1), -1)
+        same = (label >= 0) & (label == streak_label)
+        streak = np.where(same, streak + 1, label >= 0)
+        done = same & (streak >= BASIN_CONFIRM_STEPS)
+        verdict[idx[done]] = label[done]
+        iters[idx[done]] = n
+        keep = ~done
+        idx, x, streak_label, streak = idx[keep], x[keep], label[keep], streak[keep]
+        if not idx.size:
+            break
+        x = _iter_map(spec, x, 2)
+    verdicts = [names[v] for v in verdict]
+    fractions = {v: verdicts.count(v) / len(starts) if starts else 0.0 for v in names}
+    return BasinReport(starts, verdicts, iters.tolist(), fractions)
 
 
 def analysis_bundle(spec: ScalarMapSpec, i: int | None = None) -> dict:

@@ -4,7 +4,7 @@ Subcommands: iterate, analyze, orbit, basin, simulate.  Exit codes follow a
 fixed protocol so CI scripts can assert results directly:
 
     0  success (including converged / period2 stops)
-    1  invalid configuration
+    1  invalid configuration, including usage errors and unreadable --config files
     2  iteration budget exhausted, or a simulate z-score above 4
     3  legitimate absence (no orbit of the requested period)
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,6 +46,13 @@ EXIT_ABSENT = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ConfigError, so they exit 1 like any invalid configuration."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def parse_profile(text: str, k: int | None) -> DiseaseProfile:
@@ -177,9 +185,10 @@ def cmd_simulate(args) -> int:
     analytic = np.asarray(profile.masses)
     for _ in range(args.height):
         analytic = step(analytic)
+    # the analytic sigma is a floor: an empirical count of 0 or n gives a stderr of 0
     z_scores = [
-        (result.masses[i] - analytic[i]) / result.stderr[i] if result.stderr[i] > 0 else 0.0
-        for i in range(len(analytic))
+        (m - a) / max(se, math.sqrt(max(a * (1 - a), 0.0) / result.trials), 1e-12)
+        for m, se, a in zip(result.masses, result.stderr, analytic)
     ]
     cfg = _resolved_config(
         args, ["offspring", "k", "profile", "height", "trials", "alpha", "seed", "format"]
@@ -206,7 +215,7 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treespread",
         description="Competing-disease dynamics on Galton-Watson and z-ary trees",
     )
@@ -261,27 +270,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    # a --config file supplies defaults; explicit flags win
-    if "--config" in argv:
-        idx = argv.index("--config")
+def _apply_config(argv: list[str]) -> list[str]:
+    """Splice the defaults of a --config JSON file into argv; explicit flags win."""
+    if "--config" not in argv:
+        return argv
+    idx = argv.index("--config")
+    if idx + 1 >= len(argv):
+        raise ConfigError("--config needs a path")
+    try:
         with open(argv[idx + 1]) as fh:
             defaults = json.load(fh)
-        argv = list(argv[:idx]) + list(argv[idx + 2:])
-        extra = []
-        for key, value in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if flag not in argv and value is not None:
-                extra += [flag, str(value)]
-        if argv and not argv[0].startswith("-"):
-            argv = [argv[0]] + extra + argv[1:]
-        else:
-            argv = argv + extra
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise ConfigError("config file must hold a JSON object of option values")
+    argv = argv[:idx] + argv[idx + 2:]
+    extra = []
+    for key, value in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in argv and value is not None:
+            extra += [flag, value if isinstance(value, str) else json.dumps(value)]
+    if argv and not argv[0].startswith("-"):
+        return [argv[0]] + extra + argv[1:]
+    return argv + extra
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config(argv))
         return args.func(args)
     except (ConfigError, DynamicsError, OffspringError, SimulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,21 +8,21 @@ The state of the root of a height-n tree has distribution p(n) = F^n(p) where
 In the uniform case (all k disease masses equal to x) this collapses to the
 scalar map f(x) = G(1-(k-1)x) - G(1-kx) on (0, 1/k].  The retention variant
 replaces the disease coordinate update by a three-term formula parametrised by
-alpha in (0,1], with alpha=1 recovering the standard rule exactly.
+alpha in (0,1].  Its third term is G(0) = 0 at alpha=1, so one formula serves
+both rules and alpha=1 reproduces the standard rule bit for bit.  The maps and
+their derivatives evaluate elementwise on arrays of points.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import OffspringDistribution, pgf, pgf_deriv
+from .offspring import PROB_TOL, OffspringDistribution, pgf, pgf_deriv
 
-PROB_TOL = 1e-12
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
 
@@ -94,6 +94,11 @@ def dominant_profile(k: int, i: int) -> DiseaseProfile:
     return make_profile(masses)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise DynamicsError(f"alpha {alpha!r} outside (0,1]")
+
+
 @dataclass(frozen=True)
 class ScalarMapSpec:
     """The scalar map f_k (general law) or f_{z,k} (z-ary), optionally the variant."""
@@ -105,8 +110,8 @@ class ScalarMapSpec:
     def __post_init__(self):
         if self.k < 1:
             raise DynamicsError(f"need k >= 1, got {self.k}")
-        if self.variant_alpha is not None and not 0.0 < self.variant_alpha <= 1.0:
-            raise DynamicsError(f"alpha {self.variant_alpha!r} outside (0,1]")
+        if self.variant_alpha is not None:
+            _check_alpha(self.variant_alpha)
 
     @property
     def is_zary(self) -> bool:
@@ -119,38 +124,35 @@ def zary_map(z: int, k: int) -> ScalarMapSpec:
     return ScalarMapSpec(zary(z), k)
 
 
-def _check_x(x: float, k: int) -> float:
-    if x < -PROB_TOL or x > 1.0 / k + PROB_TOL:
-        raise DynamicsError(f"x={x!r} outside the map domain (0, 1/{k}]")
-    return min(max(x, 0.0), 1.0 / k)
+def _check_x(x, k: int):
+    x = np.asarray(x, dtype=float)
+    if ((x < -PROB_TOL) | (x > 1.0 / k + PROB_TOL)).any():
+        raise DynamicsError(f"x={x.tolist()!r} outside the map domain (0, 1/{k}]")
+    return x.clip(0.0, 1.0 / k)
 
 
-def scalar_eval(spec: ScalarMapSpec, x: float) -> float:
-    """f(x) on (0, 1/k]; x=0 is accepted and maps to 0."""
-    x = _check_x(x, spec.k)
-    k, dist, alpha = spec.k, spec.dist, spec.variant_alpha
-    if alpha is None:
-        return pgf(dist, 1 - (k - 1) * x) - pgf(dist, 1 - k * x)
-    return (
-        pgf(dist, 1 - (k - 1) * x)
-        - pgf(dist, 1 - (k - 1) * x - alpha * x)
-        + pgf(dist, (1 - alpha) * x)
-    )
+def _map_terms(spec: ScalarMapSpec, x):
+    """x clamped to the domain, alpha (1 for the standard rule) and a = k-1+alpha."""
+    alpha = 1.0 if spec.variant_alpha is None else spec.variant_alpha
+    return _check_x(x, spec.k), alpha, spec.k - 1 + alpha
 
 
-def scalar_deriv(spec: ScalarMapSpec, x: float, order: int = 1) -> float:
-    """Analytic derivative of f at x, order 1 or 2."""
-    x = _check_x(x, spec.k)
-    k, dist, alpha = spec.k, spec.dist, spec.variant_alpha
+def scalar_eval(spec: ScalarMapSpec, x):
+    """f(x) = G(1-(k-1)x) - G(1-(k-1+alpha)x) + G((1-alpha)x) on (0, 1/k], elementwise.
+
+    x=0 is accepted and maps to 0; a scalar x gives a float.
+    """
+    x, alpha, a = _map_terms(spec, x)
+    dist = spec.dist
+    return pgf(dist, 1 - (spec.k - 1) * x) - pgf(dist, 1 - a * x) + pgf(dist, (1 - alpha) * x)
+
+
+def scalar_deriv(spec: ScalarMapSpec, x, order: int = 1):
+    """Analytic derivative of f at x, order 1 or 2, elementwise."""
     if order not in (1, 2):
         raise DynamicsError(f"derivative order must be 1 or 2, got {order}")
-    if alpha is None:
-        sgn = 1.0 if order == 1 else -1.0
-        return sgn * (
-            k**order * pgf_deriv(dist, 1 - k * x, order)
-            - (k - 1) ** order * pgf_deriv(dist, 1 - (k - 1) * x, order)
-        )
-    a = k - 1 + alpha
+    x, alpha, a = _map_terms(spec, x)
+    k, dist = spec.k, spec.dist
     sgn = -1.0 if order == 1 else 1.0
     return (
         sgn * (k - 1) ** order * pgf_deriv(dist, 1 - (k - 1) * x, order)
@@ -170,33 +172,27 @@ def _check_vector(p, context: str) -> np.ndarray:
     return v
 
 
-def step_full(dist: OffspringDistribution, p) -> np.ndarray:
-    """One step of the exact recursion: p_i -> G(p_sane + p_i) - G(p_sane)."""
-    v = _check_vector(p, "step_full")
-    sane = v[-1]
-    g_sane = pgf(dist, sane)
+def _step(dist: OffspringDistribution, v: np.ndarray, alpha: float) -> np.ndarray:
+    sane, d = v[-1], v[:-1]
     out = np.empty_like(v)
-    for i in range(v.size - 1):
-        out[i] = pgf(dist, min(sane + v[i], 1.0)) - g_sane
+    out[:-1] = (
+        pgf(dist, np.minimum(sane + d, 1.0))
+        - pgf(dist, sane + d * (1 - alpha))
+        + pgf(dist, (1 - alpha) * d)
+    )
     out[-1] = 1.0 - out[:-1].sum()
     return out
+
+
+def step_full(dist: OffspringDistribution, p) -> np.ndarray:
+    """One step of the exact recursion: p_i -> G(p_sane + p_i) - G(p_sane)."""
+    return _step(dist, _check_vector(p, "step_full"), 1.0)
 
 
 def step_variant(dist: OffspringDistribution, p, alpha: float) -> np.ndarray:
     """One step of the retention-variant recursion with shared alpha in (0,1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise DynamicsError(f"alpha {alpha!r} outside (0,1]")
-    v = _check_vector(p, "step_variant")
-    sane = v[-1]
-    out = np.empty_like(v)
-    for i in range(v.size - 1):
-        out[i] = (
-            pgf(dist, min(sane + v[i], 1.0))
-            - pgf(dist, sane + v[i] * (1 - alpha))
-            + pgf(dist, (1 - alpha) * v[i])
-        )
-    out[-1] = 1.0 - out[:-1].sum()
-    return out
+    _check_alpha(alpha)
+    return _step(dist, _check_vector(p, "step_variant"), alpha)
 
 
 @dataclass
@@ -226,9 +222,7 @@ def scalar_stepper(spec: ScalarMapSpec):
 
 
 def _dist_inf(a, b) -> float:
-    if np.isscalar(a) or isinstance(a, float):
-        return abs(a - b)
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+    return float(np.max(np.abs(np.subtract(a, b))))
 
 
 def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL) -> Trajectory:
@@ -270,16 +264,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def trajectory_to_json_obj(traj: Trajectory) -> dict:
-    def conv(s):
-        return float(s) if (np.isscalar(s) or isinstance(s, float)) else [float(v) for v in s]
-
     return {
         "stop_reason": traj.stop_reason,
         "iterations": traj.iterations,
         "tol": traj.tol,
-        "states": [conv(s) for s in traj.states],
+        "states": [np.asarray(s, dtype=float).tolist() for s in traj.states],
     }
-
-
-def trajectory_to_json(traj: Trajectory) -> str:
-    return json.dumps(trajectory_to_json_obj(traj), sort_keys=True)

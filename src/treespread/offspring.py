@@ -3,14 +3,17 @@
 An offspring law here always lives in the Boetcher regime: no mass at 0 or 1,
 so every node of the tree has at least two children and the mean is >= 2.
 The generating function G(s) = sum_z q_z s^z and its derivatives are evaluated
-by direct power summation, which is exact up to floating point for the small
-supports we care about.
+by direct power summation over the support, elementwise for a float or an
+array, which is exact up to floating point for the small supports we care about.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 PROB_TOL = 1e-12
 
@@ -61,11 +64,11 @@ def make_offspring(masses) -> OffspringDistribution:
     seen = set()
     cleaned = []
     for z, q in masses:
-        if not isinstance(z, int) or isinstance(z, bool):
-            if isinstance(z, float) and z.is_integer():
-                z = int(z)
-            else:
-                raise OffspringError(f"child count must be an integer, got {z!r}")
+        if isinstance(z, float) and z.is_integer():
+            z = int(z)
+        elif isinstance(z, bool) or not hasattr(z, "__index__"):
+            raise OffspringError(f"child count must be an integer, got {z!r}")
+        z = operator.index(z)
         if z in (0, 1):
             raise OffspringError(f"mass at z={z} breaks the Boetcher assumption q0+q1=0")
         if z < 0:
@@ -109,23 +112,29 @@ def parse_offspring(text: str) -> OffspringDistribution:
     return make_offspring([(z, q) for z, q in obj["masses"]])
 
 
-def _check_s(s: float) -> float:
-    if s < -PROB_TOL or s > 1.0 + PROB_TOL:
-        raise OffspringError(f"generating function argument {s!r} outside [0,1]")
-    return min(max(s, 0.0), 1.0)
+def _power_sum(dist: OffspringDistribution, s, order: int):
+    """sum_z q_z z(z-1)...(z-order+1) s^(z-order), elementwise; a float for a scalar s."""
+    s = np.asarray(s, dtype=float)
+    if ((s < -PROB_TOL) | (s > 1.0 + PROB_TOL)).any():
+        raise OffspringError(f"generating function argument {s.tolist()!r} outside [0,1]")
+    # a scalar stays a 0-d array, so it takes the same numpy power loop as a batch
+    s = np.asarray(s.clip(0.0, 1.0))
+    total = 0.0
+    for z, q in dist.support:
+        c = q
+        for j in range(order):
+            c *= z - j
+        total = total + c * s ** (z - order)
+    return float(total) if s.ndim == 0 else total
 
 
-def pgf(dist: OffspringDistribution, s: float) -> float:
-    """G(s) = sum_z q_z s^z on [0,1]; arguments within 1e-12 of the interval are clamped."""
-    s = _check_s(s)
-    return sum(q * s**z for z, q in dist.support)
+def pgf(dist: OffspringDistribution, s):
+    """G(s) = sum_z q_z s^z on [0,1], elementwise; arguments within 1e-12 of it are clamped."""
+    return _power_sum(dist, s, 0)
 
 
-def pgf_deriv(dist: OffspringDistribution, s: float, order: int = 1) -> float:
-    """Exact polynomial derivative of G at s, order 1 or 2."""
-    s = _check_s(s)
-    if order == 1:
-        return sum(q * z * s ** (z - 1) for z, q in dist.support)
-    if order == 2:
-        return sum(q * z * (z - 1) * s ** (z - 2) for z, q in dist.support)
-    raise OffspringError(f"derivative order must be 1 or 2, got {order}")
+def pgf_deriv(dist: OffspringDistribution, s, order: int = 1):
+    """Exact polynomial derivative of G at s, order 1 or 2, elementwise for an array s."""
+    if order not in (1, 2):
+        raise OffspringError(f"derivative order must be 1 or 2, got {order}")
+    return _power_sum(dist, s, order)

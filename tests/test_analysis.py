@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from treespread import (
@@ -20,7 +21,7 @@ from treespread import (
     x_tilde,
     zary_map,
 )
-from treespread.analysis import analysis_bundle
+from treespread.analysis import BASIN_BALL, BASIN_CONFIRM_STEPS, analysis_bundle
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
@@ -173,6 +174,38 @@ class TestBasins:
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == "start,verdict,iterations"
         assert len(lines) == 3
+
+
+def _basin_reference(spec, x0, candidates, max_iters):
+    """One start at a time: the plain loop the lockstep sweep must reproduce."""
+    x, streak_label, streak, n = x0, None, 0, 0
+    while n < max_iters:
+        label = next((name for cand, name in candidates if abs(x - cand) < BASIN_BALL), None)
+        if label is not None and label == streak_label:
+            streak += 1
+            if streak >= BASIN_CONFIRM_STEPS:
+                return label, n
+        else:
+            streak_label, streak = label, int(label is not None)
+        x = scalar_eval(spec, scalar_eval(spec, x))
+        n += 1
+    return "unresolved", n
+
+
+@pytest.mark.parametrize("max_iters,n_starts", [(100_000, 500), (40, 100)])
+def test_lockstep_basin_matches_per_start_loop(max_iters, n_starts):
+    spec = zary_map(6, 2)
+    orbit = find_orbit(spec, 2)
+    x_bar = find_fixed_point(spec).x_bar
+    candidates = [(orbit.points[0], "orbit_left"), (orbit.points[1], "orbit_right"), (x_bar, "fixed_point")]
+    starts = np.random.default_rng(6).random(n_starts) * 0.5
+    starts = starts.tolist() + [x_bar, orbit.points[0], 0.5]
+    report = basin_classify(spec, starts, max_iters=max_iters, orbit=orbit)
+    want = [_basin_reference(spec, x0, candidates, max_iters) for x0 in starts]
+    assert list(zip(report.verdicts, report.iterations)) == want
+    assert all(type(n) is int for n in report.iterations)
+    if max_iters == 40:
+        assert 0 < report.verdicts.count("unresolved") < len(starts)
 
 
 class TestBundle:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from treespread import SimResult
 from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main, parse_profile
 
 
@@ -158,6 +159,22 @@ class TestSimulate:
         assert lines[1] == "coord,analytic,empirical,stderr,z"
         assert lines[2].startswith("p_1,") and lines[-1].startswith("sane,")
 
+    def test_z_gate_uses_analytic_sigma_floor(self, capsys, monkeypatch):
+        # every trial ended on disease 1, so the empirical stderr is 0 on every coordinate
+        monkeypatch.setattr(
+            "treespread.cli.simulate_root",
+            lambda cfg: SimResult(masses=(1.0, 0.0, 0.0), stderr=(0.0, 0.0, 0.0), trials=100),
+        )
+        code, out, _ = run(
+            capsys,
+            "simulate", "--offspring", "zary:2", "--k", "2", "--profile", "0.5,0.3,0.2",
+            "--height", "3", "--trials", "100",
+        )
+        obj = json.loads(out)
+        assert obj["analytic"] == pytest.approx([0.57, 0.15, 0.28], abs=0.01)
+        assert code == EXIT_BUDGET
+        assert all(abs(z) > 4 for z in obj["z_scores"])
+
     def test_budget_guard(self, capsys):
         spec = '{"masses":[[3,0.3333333333],[6,0.3333333333],[10,0.3333333334]]}'
         code, _, err = run(
@@ -167,6 +184,39 @@ class TestSimulate:
         )
         assert code == EXIT_CONFIG
         assert "budget" in err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("iterate", "--offspring", "zary:2", "--k", "2"),  # missing --profile
+            ("orbit", "--offspring", "zary:6", "--k", "2", "--period", "3"),
+            ("basin", "--offspring", "zary:6", "--k", "2", "--starts", "many"),
+            (),  # no subcommand
+            ("iterate", "--config"),  # no path after --config
+        ],
+        ids=["missing-profile", "period-3", "non-integer", "no-subcommand", "config-no-path"],
+    )
+    def test_usage_errors_exit_config(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"], ids=["missing", "malformed", "not-object"])
+    def test_bad_config_file(self, capsys, tmp_path, content):
+        cfg = tmp_path / "run.json"
+        if content is not None:
+            cfg.write_text(content)
+        code, _, err = run(capsys, "iterate", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert "error:" in err
 
 
 class TestReproducibility:
@@ -187,6 +237,14 @@ class TestReproducibility:
         code, out, _ = run(capsys, "iterate", "--config", str(cfg))
         assert code == EXIT_OK
         assert json.loads(out)["stop_reason"] == "converged"
+
+    def test_config_file_offspring_object(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        law = {"masses": [[2, 0.5], [4, 0.5]]}
+        cfg.write_text(json.dumps({"offspring": law, "k": 2, "profile": "uniform:2"}))
+        code, out, err = run(capsys, "iterate", "--config", str(cfg))
+        assert code == EXIT_OK, err
+        assert json.loads(json.loads(out)["config"]["offspring"]) == law
 
     def test_explicit_flag_beats_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -1,15 +1,22 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treespread import (
+    SANE,
     DynamicsError,
     ScalarMapSpec,
+    combine_children,
     dominant_profile,
     iterate,
     make_offspring,
     make_profile,
+    pgf,
+    pgf_deriv,
     scalar_deriv,
     scalar_eval,
     step_full,
@@ -102,7 +109,7 @@ class TestStepFull:
 class TestStepVariant:
     def test_alpha_one_recovers_standard(self):
         p = [0.4, 0.3, 0.2, 0.1]
-        assert np.allclose(step_variant(FIG_FE, p, 1.0), step_full(FIG_FE, p), atol=0)
+        assert np.array_equal(step_variant(FIG_FE, p, 1.0), step_full(FIG_FE, p))
 
     def test_rejects_alpha_outside_domain(self):
         for a in (0.0, -0.5, 1.5):
@@ -159,6 +166,89 @@ class TestScalarMap:
             ScalarMapSpec(zary(2), 0)
         with pytest.raises(DynamicsError):
             ScalarMapSpec(zary(2), 2, variant_alpha=0.0)
+
+
+MAPS = [
+    ScalarMapSpec(zary(6), 2),
+    ScalarMapSpec(FIG_FE, 3),
+    ScalarMapSpec(zary(4), 2, variant_alpha=0.6),
+    ScalarMapSpec(FIG_FE, 3, variant_alpha=0.3),
+]
+
+
+@pytest.mark.parametrize("spec", MAPS, ids=["z6k2", "fig_fe_k3", "z4k2_a06", "fig_fe_k3_a03"])
+def test_point_alone_equals_point_in_batch(spec):
+    x = np.concatenate([np.linspace(0.0, 1.0 / spec.k, 129), np.random.default_rng(4).random(300) / spec.k])
+    batches = [scalar_eval(spec, x), scalar_deriv(spec, x, 1), scalar_deriv(spec, x, 2)]
+    for i, xi in enumerate(x.tolist()):
+        alone = [scalar_eval(spec, xi), scalar_deriv(spec, xi, 1), scalar_deriv(spec, xi, 2)]
+        assert all(type(v) is float for v in alone)
+        assert alone == [b[i] for b in batches]
+
+
+@pytest.mark.parametrize("dist,k", [(zary(6), 2), (zary(2), 5), (FIG_FE, 3)], ids=["z6k2", "z2k5", "fig_fe_k3"])
+def test_alpha_one_is_exactly_the_standard_rule(dist, k):
+    x = np.linspace(0.0, 1.0 / k, 1001)
+    a, b = 1 - k * x, 1 - (k - 1) * x  # the standard formulas, written out
+    standard = [
+        pgf(dist, b) - pgf(dist, a),
+        k * pgf_deriv(dist, a, 1) - (k - 1) * pgf_deriv(dist, b, 1),
+        (k - 1) ** 2 * pgf_deriv(dist, b, 2) - k**2 * pgf_deriv(dist, a, 2),
+    ]
+    for spec in (ScalarMapSpec(dist, k), ScalarMapSpec(dist, k, variant_alpha=1.0)):
+        got = [scalar_eval(spec, x), scalar_deriv(spec, x, 1), scalar_deriv(spec, x, 2)]
+        for g, want in zip(got, standard):
+            assert np.array_equal(g, want)
+    rng = np.random.default_rng(k)
+    for p in rng.dirichlet(np.ones(k + 1), size=20):
+        sane = p[-1]
+        want = pgf(dist, np.minimum(sane + p[:-1], 1.0)) - pgf(dist, sane)
+        assert np.array_equal(step_full(dist, p)[:-1], want)
+        assert np.array_equal(step_variant(dist, p, 1.0), step_full(dist, p))
+
+
+class _Coin:
+    """Stands in for combine_children's rng: records whether the retention coin was
+    tossed and lets the disease win, so the caller can weight the outcome exactly."""
+
+    def __init__(self):
+        self.tossed = False
+
+    def random(self):
+        self.tossed = True
+        return 1.0
+
+
+def _height_one_oracle(dist, p, alpha):
+    """Root distribution of a height-1 tree, by enumerating every child tuple."""
+    k = len(p) - 1
+    mass = {SANE: p[-1], **{d: p[d - 1] for d in range(1, k + 1)}}
+    out = np.zeros(k + 1)
+    for z, q in dist.support:
+        for states in itertools.product(range(k + 1), repeat=z):
+            weight = q * math.prod(mass[s] for s in states)
+            coin = _Coin()
+            root = combine_children(list(states), alpha, coin)
+            if root == SANE:
+                out[-1] += weight
+                continue
+            m = sum(s != SANE for s in states)
+            win = 1 - (1 - alpha) ** m if coin.tossed else 1.0
+            out[root - 1] += weight * win
+            out[-1] += weight * (1 - win)
+    return out
+
+
+@pytest.mark.parametrize("dist", [zary(2), zary(3), zary(4), make_offspring([(2, 0.4), (4, 0.6)])],
+                         ids=["z2", "z3", "z4", "gw_2_4"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_height_one_step_matches_exhaustive_oracle(dist, k):
+    rng = np.random.default_rng(10 * k + max(z for z, _ in dist.support))
+    for p in rng.dirichlet(np.ones(k + 1), size=5):
+        assert np.max(np.abs(step_full(dist, p) - _height_one_oracle(dist, p, None))) <= 1e-13
+        for alpha in (0.3, 0.75, 1.0):
+            oracle = _height_one_oracle(dist, p, alpha)
+            assert np.max(np.abs(step_variant(dist, p, alpha) - oracle)) <= 1e-13
 
 
 @given(st.floats(1e-6, 0.5), st.integers(2, 10))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,15 @@ class TestMakeOffspring:
     def test_third_mass_survives_decimal_input(self):
         make_offspring([(3, 0.3333333333), (6, 0.3333333333), (10, 0.3333333334)])
 
+    def test_numpy_integer_atoms(self):
+        assert make_offspring([(np.int64(3), 1.0)]) == zary(3)
+        d = make_offspring([(np.int32(2), 0.5), (np.uint8(4), 0.5)])
+        assert d.support == ((2, 0.5), (4, 0.5)) and type(d.support[0][0]) is int
+        assert str(d) == '{"masses": [[2, 0.5], [4, 0.5]]}'
+        for bad in (True, np.True_, 2.5, "3"):
+            with pytest.raises(OffspringError, match="must be an integer"):
+                make_offspring([(bad, 1.0)])
+
 
 class TestPgf:
     def test_zary2_half(self):
@@ -77,6 +87,16 @@ class TestPgf:
 
     def test_clamp_within_tolerance(self):
         assert pgf(zary(2), 1.0 + 5e-13) == 1.0
+
+
+@pytest.mark.parametrize("dist", [zary(6), make_offspring(FIG_FE)], ids=["zary6", "fig_fe"])
+def test_point_alone_equals_point_in_batch(dist):
+    s = np.concatenate([np.linspace(0.0, 1.0, 257), np.random.default_rng(3).random(500)])
+    batches = [pgf(dist, s), pgf_deriv(dist, s, 1), pgf_deriv(dist, s, 2)]
+    for i, x in enumerate(s.tolist()):
+        alone = [pgf(dist, x), pgf_deriv(dist, x, 1), pgf_deriv(dist, x, 2)]
+        assert all(type(v) is float for v in alone)
+        assert alone == [b[i] for b in batches]
 
 
 class TestPgfDeriv:
