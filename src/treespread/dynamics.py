@@ -64,6 +64,8 @@ def make_profile(masses, strict: bool = True) -> DiseaseProfile:
     masses = tuple(float(m) for m in masses)
     if len(masses) < 2:
         raise DynamicsError("profile needs at least one disease mass and the sane mass")
+    if not np.isfinite(masses).all():
+        raise DynamicsError(f"profile {masses!r} has a non-finite entry")
     lo = 0.0 if strict else -PROB_TOL
     for m in masses:
         if (strict and m <= lo) or (not strict and m < lo):
@@ -233,6 +235,8 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     consecutive ones do not, and with 'max_iters' otherwise.  Longer periods
     are deliberately not detected here; use analysis.find_orbit.
     """
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise DynamicsError(f"tol {tol!r} is not a positive finite number")
     if isinstance(start, DiseaseProfile):
         start = np.asarray(start.masses)
     states = [start]

@@ -7,7 +7,11 @@ sane", which matches the componentwise-product formulation of the spread
 rules and vectorises level by level without ever materialising a tree
 structure.  Trials are evaluated in fixed-size chunks, each chunk drawing
 from its own seed-derived Philox stream, so results are reproducible and
-chunks can run concurrently.
+chunks can run concurrently.  A chunk draws its leaves in order, in
+cache-sized blocks; on a z-ary tree under the standard rule each block holds
+whole subtrees and is combined up their levels while it is in cache, so only
+the nodes above them are ever stored.  Blocking keeps every draw, so a given
+config and seed give the same output as drawing all leaves at once.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .offspring import OffspringDistribution
 SANE = 0  # scalar NodeState for a non-infected node; diseases are 1..k
 
 CHUNK_TRIALS = 4096
+BLOCK_LEAVES = 1 << 18  # leaves drawn (and, on z-ary trees, combined) per cache-sized block
 DEFAULT_NODE_BUDGET = 1e8
 _U32 = float(1 << 32)
 
@@ -50,10 +55,12 @@ class SimConfig:
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise SimulationError(f"alpha {self.alpha!r} outside (0,1]")
         total = sum(self.profile)
-        if abs(total - 1.0) > 1e-12 or any(p < 0 for p in self.profile):
+        if abs(total - 1.0) > 1e-12 or not all(0 <= p < math.inf for p in self.profile):
             raise SimulationError(f"profile {self.profile!r} is not a probability vector")
         if len(self.profile) < 2:
             raise SimulationError("profile needs at least one disease and the sane mass")
+        if not 0.0 < self.node_budget < math.inf:
+            raise SimulationError(f"node budget {self.node_budget!r} is not a positive finite number")
 
     @property
     def k(self) -> int:
@@ -110,45 +117,53 @@ class _ChunkKernel:
         self.cfg = cfg
         k = cfg.k
         self.dtype = _mask_dtype(k)
-        self.full = int((1 << (k + 1)) - 1)
-        self.mask_table = np.array([1 << i for i in range(k)] + [self.full], dtype=self.dtype)
+        self.full = np.asarray((1 << (k + 1)) - 1, dtype=self.dtype)
         self.cuts = np.cumsum(cfg.profile[:-1])
         # integer thresholds for the fast uint32 sampling path; unusable when a
         # cumulative probability rounds to the full 2^32 range (zero sane mass)
         cuts_u = np.rint(self.cuts * _U32)
         self.fast_leaf = bool(k <= 6 and cuts_u.max() < _U32)
-        self.cuts_u32 = cuts_u.astype(np.uint32) if self.fast_leaf else None
-        if k + 1 <= 8:
-            lut = np.full(1 << (k + 1), self.full, dtype=self.dtype)
-            for i in range(k):
-                lut[1 << i] = 1 << i
-            self.combine_lut = lut
-        else:
-            self.combine_lut = None
+        if self.fast_leaf:
+            self.cuts = cuts_u.astype(np.uint32)
         dist = cfg.dist
+        self.fused = 0
         if dist.is_deterministic:
             self.z = dist.z_value
             self.zs = self.qcut = None
+            if cfg.alpha is None:  # a block holds at least two whole subtrees of depth `fused`
+                while self.fused < cfg.height and 2 * self.z ** (self.fused + 1) <= BLOCK_LEAVES:
+                    self.fused += 1
         else:
             self.z = None
             self.zs = np.array([z for z, _ in dist.support], dtype=np.int64)
             self.qcut = np.cumsum([q for _, q in dist.support])[:-1]
 
     def sample_leaves(self, rng, n: int) -> np.ndarray:
+        """Masks of the stream's next n leaves; n must be even unless no leaf follows."""
         if self.fast_leaf:
-            r = rng.integers(0, 1 << 32, size=n, dtype=np.uint32)
-            idx = (r >= self.cuts_u32[0]).view(np.uint8)
-            for c in self.cuts_u32[1:]:
-                idx += r >= c
+            # Philox hands out the low then the high half of each 64-bit word, so these
+            # are the uint32s rng.integers(0, 2**32, dtype=np.uint32) would return
+            u = rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
         else:
-            idx = np.searchsorted(self.cuts, rng.random(n), side="right")
-        return self.mask_table[idx]
+            u = rng.random(n)
+        # the leaf's state index is the number of cuts at or below its draw
+        idx = (u >= self.cuts[0]).view(np.uint8)
+        for c in self.cuts[1:]:
+            idx += u >= c
+        return self.leaf_masks(idx)
+
+    def leaf_masks(self, idx: np.ndarray) -> np.ndarray:
+        """Mask of leaf state idx: disease idx+1 for idx < k, sane for idx == k."""
+        m = np.left_shift(self.dtype(1), idx, dtype=self.dtype)
+        m |= (idx == self.cfg.k) * (self.full >> 1)
+        return m
 
     def keep_single_bit(self, m: np.ndarray) -> np.ndarray:
-        """'Exactly one surviving bit keeps its disease, else sane.'"""
-        if self.combine_lut is not None:
-            return self.combine_lut[m]
-        return np.where(self.is_single_bit(m), m, np.asarray(self.full, dtype=m.dtype))
+        """'Exactly one surviving bit keeps its disease, else sane'.
+
+        m is an AND of leaf masks, so it is a single bit, full or 0.
+        """
+        return m | (m == 0) * self.full
 
     def is_single_bit(self, m: np.ndarray) -> np.ndarray:
         return (m != 0) & ((m & (m - 1)) == 0)
@@ -165,7 +180,7 @@ def _simulate_chunk(kernel: _ChunkKernel, chunk_index: int, n_trials: int) -> np
     """Root-state counts (k diseases then sane) for one chunk of trials."""
     cfg = kernel.cfg
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(chunk_index,))))
-    full = np.asarray(kernel.full, dtype=kernel.dtype)
+    full = kernel.full
     alpha = cfg.alpha
 
     if kernel.z is not None:
@@ -182,9 +197,19 @@ def _simulate_chunk(kernel: _ChunkKernel, chunk_index: int, n_trials: int) -> np
             n = int(counts.sum())
         n_leaves = n
 
-    level = kernel.sample_leaves(rng, n_leaves)
+    # leaves are drawn in order, a block at a time; a z-ary standard-rule block is
+    # combined up its `fused` levels while it is in cache, so only the nodes above
+    # that depth are materialised
+    span = (kernel.z or 1) ** kernel.fused
+    per_block = (BLOCK_LEAVES // span) & ~1
+    level = np.empty(n_leaves // span, dtype=kernel.dtype)
+    for start in range(0, level.size, per_block):
+        block = kernel.sample_leaves(rng, min(per_block, level.size - start) * span)
+        for _ in range(kernel.fused):
+            block = kernel.keep_single_bit(_and_columns(block.reshape(-1, z)))
+        level[start : start + per_block] = block
 
-    for depth in range(cfg.height - 1, -1, -1):
+    for depth in range(cfg.height - kernel.fused - 1, -1, -1):
         if counts_per_level is None:
             arr = level.reshape(-1, z)
             m = _and_columns(arr)
@@ -224,7 +249,7 @@ def _simulate_chunk(kernel: _ChunkKernel, chunk_index: int, n_trials: int) -> np
 
     out = np.zeros(cfg.k + 1, dtype=np.int64)
     for i in range(cfg.k):
-        out[i] = int((level == kernel.mask_table[i]).sum())
+        out[i] = int((level == 1 << i).sum())
     out[cfg.k] = n_trials - out[: cfg.k].sum()
     return out
 

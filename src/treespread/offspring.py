@@ -77,7 +77,7 @@ def make_offspring(masses) -> OffspringDistribution:
             raise OffspringError(f"duplicate atom at z={z}")
         seen.add(z)
         q = float(q)
-        if q <= 0.0 or q > 1.0:
+        if not 0.0 < q <= 1.0:  # also rejects NaN
             raise OffspringError(f"mass q_{z}={q} outside (0,1]")
         cleaned.append((z, q))
     total = sum(q for _, q in cleaned)

@@ -218,6 +218,25 @@ class TestBadInput:
         assert code == EXIT_CONFIG
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--offspring", "zary:2", "--profile", "nan,0.5,0.5", "--height", "2", "--trials", "10"),
+            ("iterate", "--offspring", "zary:2", "--profile", "nan,0.5,0.5", "--max-iters", "50"),
+            ("analyze", "--offspring", '{"masses": [[2, NaN], [3, 1.0]]}', "--k", "2"),
+            ("simulate", "--offspring", "zary:2", "--profile", "0.5,0.5", "--height", "1", "--trials", "10",
+             "--node-budget", "nan"),
+            ("iterate", "--offspring", "zary:2", "--profile", "uniform:2", "--tol", "nan", "--max-iters", "50"),
+            ("iterate", "--offspring", "zary:2", "--profile", "uniform:2", "--tol", "-1", "--max-iters", "50"),
+        ],
+        ids=["simulate-profile", "iterate-profile", "analyze-offspring", "node-budget", "tol-nan", "tol-negative"],
+    )
+    def test_non_finite_input_exits_config(self, capsys, argv):
+        # NaN fails every <= / > check, so each entry point tests finiteness itself
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "error:" in err
+
 
 class TestReproducibility:
     def test_byte_identical_outputs(self, capsys, tmp_path):

@@ -51,6 +51,16 @@ class TestProfiles:
         with pytest.raises(DynamicsError):
             make_profile([0.5, 0.4])
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_make_profile_rejects_non_finite(self, strict):
+        with pytest.raises(DynamicsError):
+            make_profile([math.nan, 0.5, 0.5], strict=strict)
+
+    def test_iterate_rejects_bad_tol(self):
+        for tol in (math.nan, -1.0, 0.0, math.inf):
+            with pytest.raises(DynamicsError):
+                iterate(full_stepper(zary(2)), uniform_profile(2), max_iters=5, tol=tol)
+
     def test_make_profile_rejects_increasing_order(self):
         with pytest.raises(DynamicsError):
             make_profile([0.2, 0.5, 0.3])

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from treespread import (
     SANE,
     SimConfig,
+    SimResult,
     SimulationError,
     combine_children,
     make_offspring,
@@ -14,6 +18,7 @@ from treespread import (
     step_variant,
     zary,
 )
+from treespread.mc_sim import CHUNK_TRIALS, _and_columns, _ChunkKernel
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
@@ -71,6 +76,13 @@ class TestConfig:
             SimConfig(zary(2), (0.5, 0.4), height=1, trials=10)
         with pytest.raises(SimulationError):
             SimConfig(zary(2), (0.5, 0.5), height=1, trials=10, alpha=1.5)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(SimulationError):
+            SimConfig(zary(2), (math.nan, 0.5, 0.5), height=1, trials=10)
+        for budget in (math.nan, math.inf, 0.0):
+            with pytest.raises(SimulationError):
+                SimConfig(zary(2), (0.5, 0.5), height=1, trials=10, node_budget=budget)
 
     def test_budget_guard(self):
         cfg = SimConfig(FIG_FE, (0.5, 0.2, 0.3), height=12, trials=10)
@@ -155,3 +167,147 @@ class TestSimulate:
         res = simulate_root(cfg)
         p = res.masses[0]
         assert res.stderr[0] == pytest.approx((p * (1 - p) / 10_000) ** 0.5, abs=1e-15)
+
+
+# --- stream identity: the blocked kernel against a whole-chunk reference ------------
+
+
+def _reference_chunk(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndarray:
+    """Root-state counts of one chunk, every leaf drawn at once with no blocking.
+
+    Leaves are uint32 draws against rounded thresholds (k <= 6 with nonzero sane mass)
+    or doubles through searchsorted, masks come from a table, and each level is an AND
+    over each node's children followed by a lookup table (k+1 <= 8 bits) or a
+    single-bit test.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(chunk_index,))))
+    k, alpha = cfg.k, cfg.alpha
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if k + 1 <= np.iinfo(t).bits)
+    full = dtype((1 << (k + 1)) - 1)
+    mask_table = np.array([1 << i for i in range(k)] + [full], dtype=dtype)
+
+    def is_single_bit(m):
+        return (m != 0) & ((m & (m - 1)) == 0)
+
+    if k + 1 <= 8:
+        lut = np.full(1 << (k + 1), full, dtype=dtype)
+        lut[mask_table[:k]] = mask_table[:k]
+        keep_single_bit = lut.__getitem__
+    else:
+        def keep_single_bit(m):
+            return np.where(is_single_bit(m), m, full)
+
+    zs = np.array([z for z, _ in cfg.dist.support])
+    counts_per_level = []
+    n = n_trials
+    for _ in range(cfg.height):
+        if len(zs) == 1:
+            counts = np.full(n, zs[0])
+        else:
+            qcut = np.cumsum([q for _, q in cfg.dist.support])[:-1]
+            counts = zs[np.searchsorted(qcut, rng.random(n), side="right")]
+        counts_per_level.append(counts)
+        n = int(counts.sum())
+
+    cuts = np.cumsum(cfg.profile[:-1])
+    cuts_u = np.rint(cuts * 2.0**32)
+    if k <= 6 and cuts_u.max() < 2.0**32:
+        idx = np.searchsorted(cuts_u, rng.integers(0, 1 << 32, size=n, dtype=np.uint32), side="right")
+    else:
+        idx = np.searchsorted(cuts, rng.random(n), side="right")
+    level = mask_table[idx]
+
+    for counts in reversed(counts_per_level):
+        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        m = np.bitwise_and.reduceat(level, offsets)
+        if alpha is None:
+            level = keep_single_bit(m)
+        else:
+            n_infected = counts - np.add.reduceat((level == full).astype(np.int64), offsets)
+            u = rng.random(m.size)
+            stay_sane = is_single_bit(m) & (n_infected < counts) & (u < (1.0 - alpha) ** n_infected.astype(float))
+            level = np.where(stay_sane, full, keep_single_bit(m))
+    return np.array([(level == mask).sum() for mask in mask_table])
+
+
+def _reference_root(cfg: SimConfig) -> SimResult:
+    sizes = [min(CHUNK_TRIALS, cfg.trials - start) for start in range(0, cfg.trials, CHUNK_TRIALS)]
+    counts = sum(_reference_chunk(cfg, c, n) for c, n in enumerate(sizes))
+    p_hat = counts / cfg.trials
+    stderr = np.sqrt(p_hat * (1.0 - p_hat) / cfg.trials)
+    return SimResult(tuple(p_hat.tolist()), tuple(stderr.tolist()), cfg.trials)
+
+
+def _profile(kind: str, k: int) -> tuple[float, ...]:
+    if kind == "uniform":
+        return (1 / (k + 1),) * (k + 1)
+    if kind == "zero_sane":
+        return (1 / k,) * k + (0.0,)
+    p = np.random.default_rng(k).random(k + 1)
+    return tuple((p / p.sum()).tolist())
+
+
+def _assert_same_stream(cfg: SimConfig) -> None:
+    want = _reference_root(cfg)
+    for workers in (1, 2) if cfg.trials > CHUNK_TRIALS else (1,):
+        assert simulate_root(cfg, max_workers=workers) == want, f"{workers} workers"
+
+
+# heights that give every 4095-trial chunk at least two leaf blocks
+_TREES = {"z2": (zary(2), 7), "z3": (zary(3), 4), "z5": (zary(5), 3), "gw": (FIG_FE, 3)}
+_KS = (1, 2, 6, 7, 8)
+_PROFILES = ("random", "uniform", "zero_sane")
+_ALPHAS = (None, 0.5, 1.0)
+_TRIALS = (1, 4095, 4097)
+
+
+@pytest.mark.parametrize(
+    "tree,k,kind,alpha",
+    list(itertools.product(_TREES, _KS, _PROFILES, _ALPHAS)),
+)
+def test_stream_identity_matrix(tree, k, kind, alpha):
+    """Same config and seed give exactly the reference's SimResult: every draw is kept."""
+    dist, height = _TREES[tree]
+    # a Latin square over the other indices, so every value of each factor meets every trial count
+    t = (list(_TREES).index(tree) + _KS.index(k) + _PROFILES.index(kind) + _ALPHAS.index(alpha)) % 3
+    cfg = SimConfig(dist, _profile(kind, k), height=height, trials=_TRIALS[t], alpha=alpha, seed=2026)
+    _assert_same_stream(cfg)
+
+
+@pytest.mark.parametrize(
+    "z,height,trials,fused",
+    [(2, 17, 5, 17), (2, 18, 3, 17), (4, 9, 3, 8), (3, 12, 2, 10)],
+    ids=["z2h17", "z2h18", "z4h9", "z3h12"],
+)
+@pytest.mark.parametrize("k,kind,alpha", [(2, "uniform", None), (8, "random", None), (3, "random", 0.5)])
+def test_stream_identity_deep_trees(z, height, trials, fused, k, kind, alpha):
+    """Trees too tall for one block: only the standard rule fuses, and only its lowest levels."""
+    cfg = SimConfig(zary(z), _profile(kind, k), height=height, trials=trials, alpha=alpha, seed=5)
+    assert _ChunkKernel(cfg).fused == (fused if alpha is None else 0)
+    _assert_same_stream(cfg)
+
+
+@pytest.mark.parametrize("z,k", [(z, k) for z in (2, 3, 4) for k in (1, 2, 3)] + [(2, 8)])
+def test_level_combine_exhaustive(z, k):
+    """Every child tuple through the kernel's masks and combine equals combine_children."""
+    kernel = _ChunkKernel(SimConfig(zary(z), _profile("uniform", k), height=1, trials=1))
+    # leaf index i < k is disease i+1, index k is sane
+    tuples = np.array(list(itertools.product(range(k + 1), repeat=z)), dtype=np.uint8)
+    got = kernel.keep_single_bit(_and_columns(kernel.leaf_masks(tuples.ravel()).reshape(-1, z)))
+    parents = [combine_children([SANE if i == k else i + 1 for i in t]) for t in tuples]
+    want = kernel.leaf_masks(np.array([k if s == SANE else s - 1 for s in parents], dtype=np.uint8))
+    assert got.dtype == want.dtype == (np.uint16 if k == 8 else np.uint8)
+    assert np.array_equal(got, want)
+
+
+def test_zary_chunk_memory_is_bounded():
+    """A z-ary standard-rule chunk holds one leaf block, not every leaf of its 4096 trials."""
+    cfg = SimConfig(zary(2), (1 / 3,) * 3, height=12, trials=4096, seed=1)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        simulate_root(cfg, max_workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -43,6 +43,10 @@ class TestMakeOffspring:
         with pytest.raises(OffspringError):
             make_offspring([(2, 0.5), (3, 0.4)])
 
+    def test_rejects_non_finite_mass(self):
+        with pytest.raises(OffspringError):
+            make_offspring([(2, math.nan), (3, 1.0)])
+
     def test_rejects_empty(self):
         with pytest.raises(OffspringError):
             make_offspring([])
