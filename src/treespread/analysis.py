@@ -318,6 +318,8 @@ def basin_classify(
     fixed point) for BASIN_CONFIRM_STEPS consecutive even steps, which guards
     against slow transit past the repelling fixed point.
     """
+    if not max_iters >= 1:
+        raise DynamicsError(f"max_iters must be >= 1, got {max_iters!r}")
     if orbit is None:
         orbit = find_orbit(spec, 2)
     if orbit is None:

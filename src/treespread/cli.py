@@ -148,6 +148,8 @@ def cmd_basin(args) -> int:
     dist = parse_offspring(args.offspring)
     if args.k is None:
         raise ConfigError("basin needs --k")
+    if args.starts < 1:
+        raise ConfigError(f"--starts must be >= 1, got {args.starts}")
     spec = ScalarMapSpec(dist, args.k)
     orbit = analysis.find_orbit(spec, 2)
     if orbit is None:

@@ -54,12 +54,12 @@ class DiseaseProfile:
         return i
 
 
-def make_profile(masses, strict: bool = True) -> DiseaseProfile:
-    """Validate a profile vector (p_1..p_k, p_sane).
+def check_masses(masses, strict: bool = True) -> tuple[float, ...]:
+    """Validate a probability vector (p_1..p_k, p_sane) in any disease order.
 
     strict=True enforces the user-facing contract: every entry positive.
-    strict=False admits boundary points with zero disease mass, which show up
-    as embeddings of lower-dimensional dynamics and along trajectories.
+    strict=False admits boundary points with zero mass, which show up as
+    embeddings of lower-dimensional dynamics and along trajectories.
     """
     masses = tuple(float(m) for m in masses)
     if len(masses) < 2:
@@ -73,6 +73,12 @@ def make_profile(masses, strict: bool = True) -> DiseaseProfile:
     total = sum(masses)
     if abs(total - 1.0) > PROB_TOL:
         raise DynamicsError(f"profile sums to {total!r}, not 1 within {PROB_TOL}")
+    return masses
+
+
+def make_profile(masses, strict: bool = True) -> DiseaseProfile:
+    """Validate a profile vector (p_1..p_k, p_sane) as check_masses does, in canonical order."""
+    masses = check_masses(masses, strict)
     for a, b in zip(masses[:-2], masses[1:-1]):
         if b > a:
             raise DynamicsError("disease masses must be non-increasing (canonical ordering)")
@@ -237,6 +243,8 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     """
     if not (tol > 0.0 and np.isfinite(tol)):
         raise DynamicsError(f"tol {tol!r} is not a positive finite number")
+    if not max_iters >= 1:
+        raise DynamicsError(f"max_iters must be >= 1, got {max_iters!r}")
     if isinstance(start, DiseaseProfile):
         start = np.asarray(start.masses)
     states = [start]

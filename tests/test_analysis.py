@@ -168,6 +168,11 @@ class TestBasins:
         with pytest.raises(DynamicsError):
             basin_classify(zary_map(3, 2), [0.1])
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_needs_a_positive_budget(self, max_iters):
+        with pytest.raises(DynamicsError, match="max_iters"):
+            basin_classify(zary_map(6, 2), [0.1], max_iters=max_iters)
+
     def test_csv_shape(self):
         spec = zary_map(6, 2)
         report = basin_classify(spec, [0.4, 0.1])

@@ -237,6 +237,35 @@ class TestBadInput:
         assert code == EXIT_CONFIG
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("iterate", "--offspring", "zary:2", "--profile", "uniform:2", "--max-iters", "-3"),
+            ("iterate", "--offspring", "zary:2", "--profile", "uniform:2", "--max-iters", "0"),
+            ("basin", "--offspring", "zary:6", "--k", "2", "--starts", "0"),
+            ("basin", "--offspring", "zary:6", "--k", "2", "--starts", "-5"),
+            ("basin", "--offspring", "zary:6", "--k", "2", "--starts", "10", "--max-iters", "0"),
+        ],
+        ids=["iterate-max-iters-negative", "iterate-max-iters-zero", "basin-starts-zero", "basin-starts-negative",
+             "basin-max-iters-zero"],
+    )
+    def test_empty_budgets_exit_config(self, capsys, argv):
+        # a budget of no iterations or no starts would pass vacuously or fail deep in numpy
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "error:" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_realised_tree_over_budget_exits_config(self, capsys):
+        # expected 6.8^3 = 314 nodes per trial passes the budget of 400; seed 2 samples 1448
+        code, _, err = run(
+            capsys,
+            "simulate", "--offspring", '{"masses": [[2, 0.9], [50, 0.1]]}', "--profile", "0.5,0.2,0.3",
+            "--height", "3", "--trials", "1", "--seed", "2", "--node-budget", "400",
+        )
+        assert code == EXIT_CONFIG
+        assert "error:" in err and "budget" in err
+
 
 class TestReproducibility:
     def test_byte_identical_outputs(self, capsys, tmp_path):

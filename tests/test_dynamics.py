@@ -285,6 +285,11 @@ class TestIterate:
         assert traj.stop_reason == "max_iters"
         assert traj.iterations == 5
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_needs_a_positive_budget(self, max_iters):
+        with pytest.raises(DynamicsError, match="max_iters"):
+            iterate(full_stepper(zary(2)), uniform_profile(2), max_iters=max_iters)
+
     def test_variant_alpha_one_matches_standard(self):
         p = make_profile([0.5, 0.2, 0.3])
         t1 = iterate(full_stepper(zary(2)), p, max_iters=20)

@@ -89,6 +89,15 @@ class TestConfig:
         with pytest.raises(SimulationError):
             simulate_root(cfg)
 
+    def test_realised_gw_size_guard(self):
+        # the expected 6.8^3 = 314 nodes per trial pass a budget of 400, but a 50-child node
+        # at the top of seed 2's tree gives it 1448 leaves; seed 0's tree fits
+        law = make_offspring([(2, 0.9), (50, 0.1)])
+        cfg = SimConfig(law, (0.5, 0.2, 0.3), height=3, trials=1, seed=2, node_budget=400)
+        with pytest.raises(SimulationError, match="budget"):
+            simulate_root(cfg)
+        simulate_root(SimConfig(law, (0.5, 0.2, 0.3), height=3, trials=1, seed=0, node_budget=400))
+
 
 class TestSimulate:
     def test_height1_matches_one_step(self):
@@ -281,9 +290,34 @@ def test_stream_identity_matrix(tree, k, kind, alpha):
 )
 @pytest.mark.parametrize("k,kind,alpha", [(2, "uniform", None), (8, "random", None), (3, "random", 0.5)])
 def test_stream_identity_deep_trees(z, height, trials, fused, k, kind, alpha):
-    """Trees too tall for one block: only the standard rule fuses, and only its lowest levels."""
+    """Trees too tall for one block: under either rule a block holds whole subtrees of its lowest levels."""
     cfg = SimConfig(zary(z), _profile(kind, k), height=height, trials=trials, alpha=alpha, seed=5)
-    assert _ChunkKernel(cfg).fused == (fused if alpha is None else 0)
+    assert _ChunkKernel(cfg).fused == fused
+    _assert_same_stream(cfg)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.123456789])
+@pytest.mark.parametrize("tree", ["z2h9", "z3h6", "gw_h3"])
+def test_stream_identity_irregular_alpha(tree, alpha):
+    """(1-alpha)^m from a table equals the whole-level power for alphas with no short binary form."""
+    dist, height = {"z2h9": (zary(2), 9), "z3h6": (zary(3), 6), "gw_h3": (FIG_FE, 3)}[tree]
+    _assert_same_stream(SimConfig(dist, _profile("random", 2), height=height, trials=4097, alpha=alpha, seed=11))
+
+
+@pytest.mark.parametrize(
+    "profile,alpha",
+    [(_profile("random", 2), None), (_profile("random", 7), 0.3), ((0.9, 0.1), 0.005)],
+    ids=["k2", "k7_a03", "k1_a0005"],
+)
+def test_stream_identity_wide_atom(profile, alpha):
+    """An atom above 255 needs 16-bit child counts and infected tallies.
+
+    With one disease at 0.9 a 300-child node has about 270 infected children, and
+    (1-0.005)^270 is far from the (1-0.005)^14 that an 8-bit tally would give.
+    """
+    law = make_offspring([(2, 0.99), (300, 0.01)])
+    cfg = SimConfig(law, profile, height=2, trials=4097, alpha=alpha, seed=3)
+    assert _ChunkKernel(cfg).count_dtype == np.uint16
     _assert_same_stream(cfg)
 
 
@@ -311,3 +345,21 @@ def test_zary_chunk_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "dist,profile,height,alpha",
+    [(FIG_FE, (0.5, 0.2, 0.3), 5, None), (zary(2), (0.5, 0.2, 0.3), 13, 0.5)],
+    ids=["gw_k2h5", "z2k2h13_a05"],
+)
+def test_gw_and_variant_chunk_memory_is_bounded(dist, profile, height, alpha):
+    """GW and variant chunks stream their leaves too: no level of 4096 trials is stored whole."""
+    cfg = SimConfig(dist, profile, height=height, trials=4096, alpha=alpha, seed=1)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        simulate_root(cfg, max_workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
