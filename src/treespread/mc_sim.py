@@ -5,16 +5,32 @@ States are encoded as bitmasks over k+1 bits: disease i is the single bit
 AND of the children followed by "keep if exactly one bit survives, else
 sane", which matches the componentwise-product formulation of the spread
 rules and vectorises level by level without ever materialising a tree
-structure.  Trials are evaluated in fixed-size chunks, each chunk drawing
-from its own seed-derived Philox stream, so results are reproducible and
-chunks can run concurrently.  A chunk draws its leaves in order, in
-cache-sized blocks, and streams each block up the tree: every depth keeps a
-carry of the children whose parent is not complete yet, so no level is stored
-whole.  On z-ary trees a block holds whole subtrees; a Galton-Watson chunk
-first draws its child counts top-down, one small integer per internal node;
-the retention variant reads each depth's draws from a cursor placed where a
-whole-level sampler would draw them.  Every draw is kept, so a given config
-and seed give the same output as drawing all leaves at once.
+structure.
+
+Trials are evaluated in fixed-size chunks.  Stream contract (version 2): chunk
+c draws from independent SFC64 substreams
+SeedSequence(seed, spawn_key=(c, depth, role)), and no generator is ever
+advanced or shared:
+
+- leaves (depth = height): one uint32 per leaf, in order, compared with the
+  profile's cumulative masses rounded to multiples of 2^-32; a profile whose
+  top cut rounds to 2^32 (no sane mass) draws one double per leaf instead;
+- GW child counts (depth d < height, Galton-Watson trees only): one uint32 per
+  node at depth d, compared with the law's rounded cumulative masses;
+- variant draws (depth d, retention rule only): one uint32 per undecided node
+  at depth d, that is a lone surviving disease beside at least one sane child,
+  in node order; the parent stays sane when the draw is below
+  round((1-alpha)^m 2^32), m its infected children.
+
+uint32s are the low then the high half of each 64-bit word.  So a config and
+seed give the same output at any worker count, and the same as drawing every
+substream whole at once.  A chunk draws its leaves in cache-sized blocks and
+streams each block up the tree: every depth keeps a carry of the children
+whose parent is not complete yet, so no level is stored whole.  On z-ary trees
+a block holds whole subtrees.  A GW chunk draws each depth's counts twice: a
+top-down pass keeps only the level sizes, and the bottom-up pass re-draws them
+in windows as their children arrive, so a chunk holds about one block at any
+height.
 """
 
 from __future__ import annotations
@@ -36,6 +52,7 @@ BLOCK_LEAVES = 1 << 18  # leaves drawn and carried up the tree per cache-sized b
 MIN_LEVEL_NODES = 1 << 12  # a smaller level waits for the next block, saving calls on tiny arrays
 DEFAULT_NODE_BUDGET = 1e8
 _U32 = float(1 << 32)
+_LEAVES, _COUNTS, _VARIANT = 0, 1, 2  # the roles of a chunk's substreams
 
 
 class SimulationError(ValueError):
@@ -117,19 +134,21 @@ class _ChunkKernel:
             raise SimulationError(f"k={k} too large for the bitmask simulator (max 63)")
         self.full = np.asarray((1 << (k + 1)) - 1, dtype=self.dtype)
         self.cuts = np.cumsum(cfg.profile[:-1])
-        # integer thresholds for the fast uint32 sampling path; unusable when a
-        # cumulative probability rounds to the full 2^32 range (zero sane mass)
+        # leaves draw uint32s against rounded thresholds, unless the top cut rounds to the
+        # full 2^32 range (no sane mass): such profiles draw doubles
         cuts_u = np.rint(self.cuts * _U32)
-        self.fast_leaf = bool(k <= 6 and cuts_u.max() < _U32)
-        if self.fast_leaf:
+        self.leaf_u32 = bool(cuts_u.max() < _U32)
+        if self.leaf_u32:
             self.cuts = cuts_u.astype(np.uint32)
         dist = cfg.dist
         zs = [z for z, _ in dist.support]
         # child counts and infected-child tallies fit the smallest unsigned dtype holding the largest atom
         self.count_dtype = np.min_scalar_type(max(zs))
         if cfg.alpha is not None:
-            # a lone disease in m children, beside some sane ones, leaves the parent sane w.p. (1-alpha)^m
-            self.p_stay_sane = (1.0 - cfg.alpha) ** np.arange(max(zs) + 1).astype(float)
+            # a lone disease in m children, beside some sane ones, leaves the parent sane when a
+            # uint32 draw falls below (1-alpha)^m 2^32; uint64 holds 2^32 itself
+            p_stay_sane = (1.0 - cfg.alpha) ** np.arange(max(zs) + 1).astype(float)
+            self.stay_sane = np.rint(p_stay_sane * _U32).astype(np.uint64)
         self.fused = 0  # depth of the whole subtrees a z-ary block holds (at least two of them)
         if dist.is_deterministic:
             self.z = dist.z_value
@@ -139,46 +158,55 @@ class _ChunkKernel:
             self.z = None
             self.zs = np.array(zs, dtype=self.count_dtype)
             self.z_min = min(zs)
-            self.qcut = np.cumsum([q for _, q in dist.support])[:-1]
+            # uint32 thresholds of the child-count law; an atom of mass below 2^-33 keeps 2^-32
+            qcut = np.rint(np.cumsum([q for _, q in dist.support])[:-1] * _U32)
+            self.qcut = np.minimum(qcut, _U32 - 1).astype(np.uint32)
+            self.z_steps = np.diff(zs).tolist()  # a draw at or above qcut[i] has z_steps[i] more children
         span = (self.z or 1) ** self.fused
         self.block = (BLOCK_LEAVES // span & ~1) * span  # leaves per block: even, whole subtrees
 
-    def tree_levels(self, rng, n_trials: int):
-        """Nodes at each depth 0..height and, on a GW tree, each depth's child counts.
+    def level_sizes(self, stream, n_trials: int, cmp: np.ndarray) -> list[int]:
+        """Nodes at each depth 0..height.
 
-        Counts are drawn top-down; a level over the node budget raises before it is allocated.
+        A GW chunk draws each depth's child counts from that depth's substream and keeps only
+        their sum; a level over the node budget raises before the next level is drawn.
         """
         cfg = self.cfg
         if self.z is not None:
-            return [n_trials * self.z**d for d in range(cfg.height + 1)], None
-        sizes, counts = [n_trials], []
-        for depth in range(1, cfg.height + 1):
-            c = np.empty(sizes[-1], dtype=self.count_dtype)
-            for start in range(0, c.size, BLOCK_LEAVES):
-                u = rng.random(min(BLOCK_LEAVES, c.size - start))
-                c[start : start + u.size] = self.zs.take(_bucket(u, self.qcut))
-            counts.append(c)
-            sizes.append(int(c.sum()))
-            if sizes[-1] > cfg.node_budget * n_trials:
-                raise SimulationError(f"{sizes[-1]} sampled nodes at depth {depth} of {n_trials} trials"
+            return [n_trials * self.z**d for d in range(cfg.height + 1)]
+        sizes = [n_trials]
+        for depth in range(cfg.height):
+            bits, n = stream(depth, _COUNTS).bit_generator, sizes[-1]
+            total = int(self.zs[0]) * n
+            for start in range(0, n, BLOCK_LEAVES):
+                u = _draw_u32(bits, min(BLOCK_LEAVES, n - start))
+                for cut, step in zip(self.qcut, self.z_steps):
+                    total += step * int(np.count_nonzero(np.greater_equal(u, cut, out=cmp[: u.size])))
+            if total > cfg.node_budget * n_trials:
+                raise SimulationError(f"{total} sampled nodes at depth {depth + 1} of {n_trials} trials"
                                       f" exceed the budget of {cfg.node_budget:.3g} per trial")
-        return sizes, counts
+            sizes.append(total)
+        return sizes
 
-    def sample_leaves(self, rng, n: int) -> np.ndarray:
-        """Masks of the stream's next n leaves; n must be even unless no leaf follows."""
-        if self.fast_leaf:
-            # Philox hands out the low then the high half of each 64-bit word, so these
-            # are the uint32s rng.integers(0, 2**32, dtype=np.uint32) would return
-            u = rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
-        else:
-            u = rng.random(n)
-        return self.leaf_masks(_bucket(u, self.cuts))
+    def child_counts(self, bits, n: int) -> np.ndarray:
+        """Child counts of the next n nodes of a GW depth's substream; n is even unless no count follows."""
+        return self.zs.take(_bucket(_draw_u32(bits, n), self.qcut))
 
-    def leaf_masks(self, idx: np.ndarray) -> np.ndarray:
-        """Mask of leaf state idx: disease idx+1 for idx < k, sane for idx == k."""
-        m = np.left_shift(self.dtype.type(1), idx, dtype=self.dtype)
-        m |= (idx == self.cfg.k) * (self.full >> 1)
-        return m
+    def sample_leaves(self, rng, n: int, scratch: _Scratch) -> np.ndarray:
+        """Masks of the leaf substream's next n leaves, in scratch; n is even unless no leaf follows."""
+        u = _draw_u32(rng.bit_generator, n) if self.leaf_u32 else rng.random(out=scratch.doubles[:n])
+        idx = _bucket(u, self.cuts, out=scratch.idx[:n], cmp=scratch.cmp[:n])
+        return self.leaf_masks(idx, out=scratch.masks[:n], sane=scratch.cmp[:n], patch=idx)
+
+    def leaf_masks(self, idx: np.ndarray, out=None, sane=None, patch=None) -> np.ndarray:
+        """Mask of leaf state idx: disease idx+1 for idx < k, sane for idx == k.
+
+        out, sane and patch are optional buffers of idx's size (mask, bool and mask dtypes);
+        patch may be idx itself.
+        """
+        m = np.left_shift(self.dtype.type(1), idx, out=out, dtype=self.dtype)
+        sane = np.equal(idx, self.cfg.k, out=sane)
+        return np.bitwise_or(m, np.multiply(sane, self.full >> 1, out=patch), out=m)
 
     def keep_single_bit(self, m: np.ndarray) -> np.ndarray:
         """'Exactly one surviving bit keeps its disease, else sane'.
@@ -187,15 +215,14 @@ class _ChunkKernel:
         """
         return m | (m == 0) * self.full
 
-    def combine(self, kids: np.ndarray, counts, starts, cursor) -> np.ndarray:
-        """Parents of kids, z each or counts[i] from starts[i]; cursor draws the variant's uniforms."""
+    def combine(self, kids: np.ndarray, counts, starts, variant) -> np.ndarray:
+        """Parents of kids, z each or counts[i] from starts[i]; variant draws the retention rule's uint32s."""
         if counts is None:
-            cols = kids.reshape(-1, self.z)
-            m = _and_columns(cols)
+            m = _and_columns(kids.reshape(-1, self.z))
         else:
             m = np.bitwise_and.reduceat(kids, starts)
         parents = self.keep_single_bit(m)
-        if cursor is None:
+        if variant is None:
             return parents
         infected = (kids != self.full).view(np.uint8)
         if counts is None:
@@ -205,17 +232,40 @@ class _ChunkKernel:
                 n_infected += cols[:, j]
         else:
             n_infected = np.add.reduceat(infected, starts, dtype=self.count_dtype)
-        single = (m != 0) & ((m & (m - 1)) == 0)
-        stay_sane = single & (n_infected < counts) & (cursor.random(m.size) < self.p_stay_sane.take(n_infected))
-        return parents | stay_sane * self.full
+        # only a lone surviving disease beside at least one sane child is left to chance
+        undecided = np.flatnonzero((parents != self.full) & (n_infected < counts))
+        u = variant.integers(0, 1 << 32, size=undecided.size, dtype=np.uint32)
+        parents[undecided[u < self.stay_sane.take(n_infected[undecided])]] = self.full
+        return parents
 
 
-def _bucket(u: np.ndarray, cuts) -> np.ndarray:
+class _Scratch:
+    """One chunk's fixed-size block temporaries, reused through out= by every leaf block."""
+
+    def __init__(self, kernel: _ChunkKernel, n: int):
+        self.idx = np.empty(n, dtype=kernel.dtype)  # a leaf's state index, then its sane patch
+        self.cmp = np.empty(n, dtype=bool)
+        self.masks = np.empty(n, dtype=kernel.dtype)
+        self.doubles = np.empty(0 if kernel.leaf_u32 else n)
+
+
+def _draw_u32(bits, n: int) -> np.ndarray:
+    """The next n uint32s of an SFC64 stream, as Generator.integers(0, 2**32, n, dtype=np.uint32) gives them.
+
+    SFC64 hands out the low then the high half of each 64-bit word, so a sequence of draws
+    matches one whole draw when every draw but the last is of an even n.
+    """
+    return bits.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
+
+
+def _bucket(u: np.ndarray, cuts, out=None, cmp=None) -> np.ndarray:
     """Index of the bucket each draw falls in: the number of cuts at or below it."""
-    idx = (u >= cuts[0]).view(np.uint8).astype(np.min_scalar_type(len(cuts)), copy=False)
-    for c in cuts[1:]:
-        idx += u >= c
-    return idx
+    if out is None:
+        out = np.empty(u.shape, dtype=np.min_scalar_type(len(cuts)))
+    out[...] = 0
+    for c in cuts:
+        out += np.greater_equal(u, c, out=cmp)
+    return out
 
 
 def _and_columns(arr: np.ndarray) -> np.ndarray:
@@ -225,62 +275,62 @@ def _and_columns(arr: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _cursor(seq: np.random.SeedSequence, word: int) -> np.random.Generator:
-    """A generator on seq's Philox stream, placed at its `word`-th 64-bit word."""
-    bit_gen = np.random.Philox(seq)
-    bit_gen.advance(word // 4)  # one counter step makes four words
-    bit_gen.random_raw(word % 4)
-    return np.random.Generator(bit_gen)
-
-
 def _simulate_chunk(kernel: _ChunkKernel, chunk_index: int, n_trials: int) -> np.ndarray:
     """Root-state counts (k diseases then sane) for one chunk of trials.
 
-    Leaves are drawn in stream order, a block at a time, and each block is carried up
-    the tree at once: every depth keeps the children whose parent is not complete yet,
-    and, until the chunk's last block, any level of fewer than MIN_LEVEL_NODES nodes.
+    Leaves are drawn in order, a block at a time, and each block is carried up the tree
+    at once: every depth keeps the children whose parent is not complete yet, and, until
+    the chunk's last block, any level of fewer than MIN_LEVEL_NODES nodes.  A GW depth
+    re-draws its child counts in windows, as its children arrive.
     """
-    cfg, z = kernel.cfg, kernel.z
-    seq = np.random.SeedSequence(cfg.seed, spawn_key=(chunk_index,))
-    rng = np.random.Generator(np.random.Philox(seq))
-    sizes, counts = kernel.tree_levels(rng, n_trials)
-    height, n_leaves = cfg.height, sizes[-1]
+    cfg, z, height = kernel.cfg, kernel.z, kernel.cfg.height
 
-    cursors = [None] * height
-    if cfg.alpha is not None:
-        # a whole-level sampler draws one variate per parent after the GW counts and every
-        # leaf, deepest level first; each depth's cursor starts at its level's first word
-        word = (0 if z else sum(sizes[:-1])) + ((n_leaves + 1) // 2 if kernel.fast_leaf else n_leaves)
-        for depth in range(height - 1, -1, -1):
-            cursors[depth] = _cursor(seq, word)
-            word += sizes[depth]
+    def stream(depth: int, role: int) -> np.random.Generator:
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(chunk_index, depth, role))
+        return np.random.Generator(np.random.SFC64(seq))
+
+    scratch = _Scratch(kernel, kernel.block)
+    sizes = kernel.level_sizes(stream, n_trials, scratch.cmp)
+    n_leaves = sizes[-1]
+    leaves = stream(height, _LEAVES)
+    variants = [None if cfg.alpha is None else stream(depth, _VARIANT) for depth in range(height)]
+    if not z:
+        count_bits = [stream(depth, _COUNTS).bit_generator for depth in range(height)]
+        pending = [np.empty(0, dtype=kernel.count_dtype)] * height  # drawn counts of parents not yet combined
+        undrawn = sizes[:-1]
 
     empty = np.empty(0, dtype=kernel.dtype)
     carries = [empty] * height
     roots, n_roots = np.empty(n_trials, dtype=kernel.dtype), 0
     for start in range(0, n_leaves, kernel.block):
-        nodes = kernel.sample_leaves(rng, min(kernel.block, n_leaves - start))
+        nodes = kernel.sample_leaves(leaves, min(kernel.block, n_leaves - start), scratch)
         last = start + kernel.block >= n_leaves
         for depth in range(height - 1, -1, -1):
             if carries[depth].size:
                 nodes, carries[depth] = np.concatenate((carries[depth], nodes)), empty
             if nodes.size < MIN_LEVEL_NODES and not last:
-                carries[depth] = nodes
+                carries[depth] = nodes.copy()  # a copy, so no carry points into the scratch buffers
                 break
             if z:
                 used, c, starts = nodes.size - nodes.size % z, None, None
             else:
                 # the parents whose children have all arrived, from a window of child counts
-                window = counts[depth][: nodes.size // kernel.z_min]
+                have = pending[depth].size
+                want = min(nodes.size // kernel.z_min, have + undrawn[depth])
+                if want > have:
+                    n = min(want - have + (want - have) % 2, undrawn[depth])
+                    pending[depth] = np.concatenate((pending[depth], kernel.child_counts(count_bits[depth], n)))
+                    undrawn[depth] -= n
+                window = pending[depth][:want]
                 ends = np.cumsum(window, dtype=np.int64)
                 n = int(np.searchsorted(ends, nodes.size, side="right"))
-                c, counts[depth] = window[:n], counts[depth][n:]
+                c, pending[depth] = window[:n], pending[depth][n:]
                 starts, used = ends[:n] - c, int(ends[n - 1]) if n else 0
-            if used < nodes.size:  # a copy, so the carry does not keep the block alive
+            if used < nodes.size:
                 nodes, carries[depth] = nodes[:used], nodes[used:].copy()
                 if not used:
                     break
-            nodes = kernel.combine(nodes, c, starts, cursors[depth])
+            nodes = kernel.combine(nodes, c, starts, variants[depth])
         else:
             roots[n_roots : n_roots + nodes.size] = nodes
             n_roots += nodes.size
@@ -302,7 +352,11 @@ def simulate_root(cfg: SimConfig, max_workers: int | None = None) -> SimResult:
             f"expected ~{expected_nodes:.3g} nodes per trial exceeds budget {cfg.node_budget:.3g}"
         )
     if max_workers is None:
-        max_workers = int(os.environ.get("TREESPREAD_THREADS", "0")) or (os.cpu_count() or 1)
+        raw = os.environ.get("TREESPREAD_THREADS", "0")
+        try:
+            max_workers = int(raw) or (os.cpu_count() or 1)
+        except ValueError:
+            raise SimulationError(f"TREESPREAD_THREADS={raw!r} is not an integer") from None
     max_workers = max(1, max_workers)
 
     kernel = _ChunkKernel(cfg)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treespread import SimResult
+from treespread import SimConfig, SimResult, SimulationError, make_offspring, simulate_root
 from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main, parse_profile
 
 
@@ -257,14 +257,36 @@ class TestBadInput:
         assert out == ""
 
     def test_realised_tree_over_budget_exits_config(self, capsys):
-        # expected 6.8^3 = 314 nodes per trial passes the budget of 400; seed 2 samples 1448
+        # expected 6.8^3 = 314 nodes per trial passes the budget of 400; the first seed
+        # whose sampled tree is larger must exit 1 through the CLI
+        law = make_offspring([(2, 0.9), (50, 0.1)])
+
+        def over_budget(seed):
+            try:
+                simulate_root(SimConfig(law, (0.5, 0.2, 0.3), height=3, trials=1, seed=seed, node_budget=400))
+            except SimulationError:
+                return True
+            return False
+
+        seed = next(filter(over_budget, range(50)))
         code, _, err = run(
             capsys,
             "simulate", "--offspring", '{"masses": [[2, 0.9], [50, 0.1]]}', "--profile", "0.5,0.2,0.3",
-            "--height", "3", "--trials", "1", "--seed", "2", "--node-budget", "400",
+            "--height", "3", "--trials", "1", "--seed", str(seed), "--node-budget", "400",
         )
         assert code == EXIT_CONFIG
         assert "error:" in err and "budget" in err
+
+    def test_invalid_thread_count_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("TREESPREAD_THREADS", "abc")
+        code, out, err = run(
+            capsys,
+            "simulate", "--offspring", "zary:2", "--k", "2", "--profile", "uniform:2",
+            "--height", "2", "--trials", "10",
+        )
+        assert code == EXIT_CONFIG
+        assert "error:" in err and "TREESPREAD_THREADS" in err and "Traceback" not in err
+        assert out == ""
 
 
 class TestReproducibility:
