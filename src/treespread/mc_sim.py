@@ -158,7 +158,8 @@ class _ChunkKernel:
             self.z = None
             self.zs = np.array(zs, dtype=self.count_dtype)
             self.z_min = min(zs)
-            # uint32 thresholds of the child-count law; an atom of mass below 2^-33 keeps 2^-32
+            # uint32 thresholds of the child-count law; a cut that rounds to 2^32 becomes the largest
+            # uint32, so the atoms above it keep 2^-32 of mass instead of taking every draw
             qcut = np.rint(np.cumsum([q for _, q in dist.support])[:-1] * _U32)
             self.qcut = np.minimum(qcut, _U32 - 1).astype(np.uint32)
             self.z_steps = np.diff(zs).tolist()  # a draw at or above qcut[i] has z_steps[i] more children
@@ -192,11 +193,11 @@ class _ChunkKernel:
         """Child counts of the next n nodes of a GW depth's substream; n is even unless no count follows."""
         return self.zs.take(_bucket(_draw_u32(bits, n), self.qcut))
 
-    def sample_leaves(self, rng, n: int, scratch: _Scratch) -> np.ndarray:
-        """Masks of the leaf substream's next n leaves, in scratch; n is even unless no leaf follows."""
-        u = _draw_u32(rng.bit_generator, n) if self.leaf_u32 else rng.random(out=scratch.doubles[:n])
-        idx = _bucket(u, self.cuts, out=scratch.idx[:n], cmp=scratch.cmp[:n])
-        return self.leaf_masks(idx, out=scratch.masks[:n], sane=scratch.cmp[:n], patch=idx)
+    def sample_leaves(self, rng, n: int, buffers: _BlockBuffers) -> np.ndarray:
+        """Masks of the leaf substream's next n leaves, in buffers; n is even unless no leaf follows."""
+        u = _draw_u32(rng.bit_generator, n) if self.leaf_u32 else rng.random(out=buffers.doubles[:n])
+        idx = _bucket(u, self.cuts, out=buffers.idx[:n], cmp=buffers.cmp[:n])
+        return self.leaf_masks(idx, out=buffers.masks[:n], sane=buffers.cmp[:n], patch=idx)
 
     def leaf_masks(self, idx: np.ndarray, out=None, sane=None, patch=None) -> np.ndarray:
         """Mask of leaf state idx: disease idx+1 for idx < k, sane for idx == k.
@@ -239,7 +240,7 @@ class _ChunkKernel:
         return parents
 
 
-class _Scratch:
+class _BlockBuffers:
     """One chunk's fixed-size block temporaries, reused through out= by every leaf block."""
 
     def __init__(self, kernel: _ChunkKernel, n: int):
@@ -289,8 +290,8 @@ def _simulate_chunk(kernel: _ChunkKernel, chunk_index: int, n_trials: int) -> np
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(chunk_index, depth, role))
         return np.random.Generator(np.random.SFC64(seq))
 
-    scratch = _Scratch(kernel, kernel.block)
-    sizes = kernel.level_sizes(stream, n_trials, scratch.cmp)
+    buffers = _BlockBuffers(kernel, kernel.block)
+    sizes = kernel.level_sizes(stream, n_trials, buffers.cmp)
     n_leaves = sizes[-1]
     leaves = stream(height, _LEAVES)
     variants = [None if cfg.alpha is None else stream(depth, _VARIANT) for depth in range(height)]
@@ -303,13 +304,13 @@ def _simulate_chunk(kernel: _ChunkKernel, chunk_index: int, n_trials: int) -> np
     carries = [empty] * height
     roots, n_roots = np.empty(n_trials, dtype=kernel.dtype), 0
     for start in range(0, n_leaves, kernel.block):
-        nodes = kernel.sample_leaves(leaves, min(kernel.block, n_leaves - start), scratch)
+        nodes = kernel.sample_leaves(leaves, min(kernel.block, n_leaves - start), buffers)
         last = start + kernel.block >= n_leaves
         for depth in range(height - 1, -1, -1):
             if carries[depth].size:
                 nodes, carries[depth] = np.concatenate((carries[depth], nodes)), empty
             if nodes.size < MIN_LEVEL_NODES and not last:
-                carries[depth] = nodes.copy()  # a copy, so no carry points into the scratch buffers
+                carries[depth] = nodes.copy()  # a copy, so no carry points into the block buffers
                 break
             if z:
                 used, c, starts = nodes.size - nodes.size % z, None, None

@@ -90,8 +90,8 @@ class TestConfig:
             simulate_root(cfg)
 
     def test_realised_gw_size_guard(self):
-        # the expected 6.8^3 = 314 nodes per trial pass a budget of 400, but a tree with a
-        # 50-child node near its top has over 1000 leaves; the guard must refuse exactly those
+        # the expected 6.8^3 = 314 nodes per trial pass a budget of 400, but a 50-child node
+        # near the top can push a sampled tree past it; the guard must refuse exactly those
         law = make_offspring([(2, 0.9), (50, 0.1)])
         refused = []
         for seed in range(50):
@@ -149,7 +149,6 @@ class TestSimulate:
         profile = (0.5, 0.2, 0.3)
         a = simulate_root(SimConfig(zary(2), profile, height=4, trials=8192, seed=9, alpha=1.0))
         b = simulate_root(SimConfig(zary(2), profile, height=4, trials=8192, seed=9))
-        _assert_within(a, b.masses)
         # the variant's draws come from their own substreams, so alpha=1 sees the same leaves
         assert a == b
 
@@ -348,6 +347,18 @@ def test_stream_identity_wide_atom(profile, alpha):
     law = make_offspring([(2, 0.99), (300, 0.01)])
     cfg = SimConfig(law, profile, height=2, trials=4097, alpha=alpha, seed=3)
     assert _ChunkKernel(cfg).count_dtype == np.uint16
+    _assert_same_stream(cfg)
+
+
+def test_stream_identity_top_count_cut_rounds_to_one():
+    """A child-count cut that rounds to 2^32 is clipped to the largest uint32, not wrapped to 0.
+
+    Wrapped, every node of this law would get 3 children instead of almost surely 2.
+    """
+    law = make_offspring([(2, 1 - 1e-11), (3, 1e-11)])
+    cfg = SimConfig(law, _profile("random", 2), height=3, trials=4097, seed=8)
+    assert _ChunkKernel(cfg).qcut.tolist() == [2**32 - 1]
+    assert all(set(counts.tolist()) == {2} for counts in _reference_levels(cfg, 0, CHUNK_TRIALS))
     _assert_same_stream(cfg)
 
 
