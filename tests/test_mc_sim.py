@@ -18,7 +18,7 @@ from treespread import (
     step_variant,
     zary,
 )
-from treespread.mc_sim import CHUNK_TRIALS, _and_columns, _ChunkKernel
+from treespread.mc_sim import CHUNK_TRIALS, LANE_EAGER_BITS, _ByteKernel, _LaneKernel
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
@@ -188,7 +188,12 @@ class TestSimulate:
 # --- stream identity: the blocked kernel against a whole-chunk reference ------------
 
 
-_LEAVES_ROLE, _COUNTS_ROLE, _VARIANT_ROLE = 0, 1, 2
+_LEAVES_ROLE, _COUNTS_ROLE, _VARIANT_ROLE, _REFINE_ROLE, _COINS_ROLE = range(5)
+
+
+def _words(cfg: SimConfig, n: int, *key: int) -> np.ndarray:
+    """The first n 64-bit words of the substream with spawn key `key`, drawn whole."""
+    return np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=key)).random_raw(n)
 
 
 def _substream(cfg: SimConfig, chunk_index: int, depth: int, role: int) -> np.random.Generator:
@@ -216,16 +221,8 @@ def _reference_levels(cfg: SimConfig, chunk_index: int, n_trials: int) -> list[n
     return counts_per_level
 
 
-def _reference_chunk(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndarray:
-    """Root-state counts of one chunk, each substream drawn whole with no blocking.
-
-    Each depth's child counts, every leaf and each level's undecided-node uint32s come
-    from the chunk's SFC64 substreams (depth, role) as whole arrays.  Leaves are uint32
-    draws against rounded thresholds, or doubles when the top threshold rounds to 2^32,
-    through searchsorted; masks come from a table, and each level is an AND over each
-    node's children followed by a lookup table (k+1 <= 8 bits) or a single-bit test.
-    """
-    k, alpha = cfg.k, cfg.alpha
+def _masks(k: int):
+    """Leaf mask table, sane mask, single-bit test and keep-single-bit rule for k diseases."""
     dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if k + 1 <= np.iinfo(t).bits)
     full = dtype((1 << (k + 1)) - 1)
     mask_table = np.array([1 << i for i in range(k)] + [full], dtype=dtype)
@@ -241,14 +238,31 @@ def _reference_chunk(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndar
         def keep_single_bit(m):
             return np.where(is_single_bit(m), m, full)
 
+    return mask_table, full, is_single_bit, keep_single_bit
+
+
+def _leaf_cuts(cfg: SimConfig) -> np.ndarray:
+    """The profile's cumulative masses in units of 2^-32; a cut of 2^32 is never reached."""
+    return np.rint(np.cumsum(cfg.profile[:-1]) * 2.0**32).astype(np.uint64)
+
+
+def _reference_chunk(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndarray:
+    """Root-state counts of one chunk, each substream drawn whole with no blocking.
+
+    z-ary chunks: see _reference_lanes.  Galton-Watson chunks: each depth's child counts,
+    every leaf and each level's undecided-node uint32s come from the chunk's SFC64
+    substreams (depth, role) as whole arrays.  Leaves are uint32 draws against rounded
+    thresholds through searchsorted; masks come from a table, and each level is an AND
+    over each node's children followed by a lookup table (k+1 <= 8 bits) or a single-bit test.
+    """
+    if cfg.dist.is_deterministic:
+        return _reference_lanes(cfg, chunk_index, n_trials)
+    k, alpha = cfg.k, cfg.alpha
+    mask_table, full, is_single_bit, keep_single_bit = _masks(k)
+
     counts_per_level = _reference_levels(cfg, chunk_index, n_trials)
     n = int(counts_per_level[-1].sum())
-    cuts = np.cumsum(cfg.profile[:-1])
-    cuts_u = np.rint(cuts * 2.0**32)
-    if cuts_u.max() < 2.0**32:
-        idx = np.searchsorted(cuts_u, _uint32s(cfg, chunk_index, cfg.height, _LEAVES_ROLE, n), side="right")
-    else:
-        idx = np.searchsorted(cuts, _substream(cfg, chunk_index, cfg.height, _LEAVES_ROLE).random(n), side="right")
+    idx = np.searchsorted(_leaf_cuts(cfg), _uint32s(cfg, chunk_index, cfg.height, _LEAVES_ROLE, n), side="right")
     level = mask_table[idx]
 
     if alpha is not None:
@@ -266,6 +280,90 @@ def _reference_chunk(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndar
             parents[undecided[u < stay_sane[n_infected[undecided]]]] = full
         level = parents
     return np.array([(level == mask).sum() for mask in mask_table])
+
+
+def _reference_lanes(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndarray:
+    """Root-state counts of one z-ary chunk, every lane's uniform built from whole substreams.
+
+    Trial i of position p is bit i % 64 of word p * words + i // 64.  The top
+    LANE_EAGER_BITS bits of a leaf's uniform come from the per-plane leaf substreams.  A
+    word in which some trial's top bits equal those of a cut with set bits below them
+    takes its other bits from the refine substream, 32 - LANE_EAGER_BITS consecutive
+    words per such word in word order.  Leaves are searchsorted into the cuts and each
+    level combines plain masks.  Under the retention rule each infected child of an
+    undecided parent keeps the parent sane when its uniform is below q; see _reference_coins.
+    """
+    k, z, height, eager = cfg.k, cfg.dist.z_value, cfg.height, LANE_EAGER_BITS
+    mask_table, full, is_single_bit, keep_single_bit = _masks(k)
+    words = -(-n_trials // 64)
+    n_pos = z**height
+    word = np.arange(n_pos)[:, None] * words + np.arange(n_trials) // 64
+    lane = np.broadcast_to(np.arange(n_trials, dtype=np.uint64) % 64, word.shape)
+
+    u = np.zeros(word.shape, dtype=np.uint64)
+    for t in range(eager):
+        plane = _words(cfg, n_pos * words, chunk_index, height, _LEAVES_ROLE, t)
+        bits = np.unpackbits(plane.astype("<u8").view(np.uint8), bitorder="little").reshape(n_pos, -1)
+        u |= bits[:, :n_trials].astype(np.uint64) << np.uint64(31 - t)
+    cuts = _leaf_cuts(cfg)
+    low_bits = np.uint64(32 - eager)
+    tied = np.zeros(word.shape, dtype=bool)
+    for c in cuts[cuts < 2**32]:
+        if c % (1 << (32 - eager)):
+            tied |= u >> low_bits == c >> low_bits
+    refined = np.zeros(n_pos * words, dtype=bool)
+    refined[word[tied]] = True
+    low = _words(cfg, int(refined.sum()) * (32 - eager), chunk_index, height, _REFINE_ROLE).reshape(-1, 32 - eager)
+    sel = refined[word]
+    rows, shifts = (np.cumsum(refined) - 1)[word[sel]], lane[sel]
+    tail = np.zeros(rows.size, dtype=np.uint64)
+    for t in range(eager, 32):
+        tail |= (low[rows, t - eager] >> shifts & 1) << np.uint64(31 - t)
+    u[sel] |= tail
+    level = mask_table[np.searchsorted(cuts, u, side="right")]
+
+    q = None if cfg.alpha is None else round((1.0 - cfg.alpha) * 2**32)
+    for depth in reversed(range(height)):
+        kids = level.reshape(-1, z, n_trials)
+        m = np.bitwise_and.reduce(kids, axis=1)
+        parents = keep_single_bit(m)
+        if q:
+            undecided = is_single_bit(m) & (kids == full).any(axis=1)
+            need = undecided[:, None, :] & (kids != full)
+            coins = _reference_coins(cfg, chunk_index, depth, q, need, words)
+            parents[undecided & (coins | ~need).all(axis=1)] = full
+        level = parents
+    return np.array([(level == mask).sum() for mask in mask_table])
+
+
+def _reference_coins(cfg, chunk_index, depth, q, need, words) -> np.ndarray:
+    """Which lanes of need have a uniform below q, each lane's bits drawn as its word needs them.
+
+    need[p, j, i] is trial i of child j of parent p, bit i % 64 of child word (p z + j) words
+    + i // 64.  Bit 31 - t of every lane's uniform comes from substream (depth, COINS, t), one
+    word per child word that still has a lane whose bits so far equal q's, in word order; a
+    lane is decided once its bits differ from q's, or when q has no set bit left.
+    """
+    if q >= 2**32:
+        return need.copy()
+    n_par, z, n_trials = need.shape
+    child_word = (np.arange(n_par * z)[:, None] * words + np.arange(n_trials) // 64).reshape(need.shape)
+    w, b = child_word[need], (np.arange(n_trials) % 64 + np.zeros(need.shape, dtype=int))[need]
+    prefix, open_, below = np.zeros(w.size, dtype=np.int64), np.ones(w.size, dtype=bool), np.zeros(w.size, dtype=bool)
+    lowest = (q & -q).bit_length() - 1
+    for t in range(32 - lowest):
+        o = np.flatnonzero(open_)
+        if not o.size:
+            break
+        first = np.diff(w[o], prepend=-1) != 0  # the needed lanes are in word order
+        r = _words(cfg, int(first.sum()), chunk_index, depth, _COINS_ROLE, t)
+        bit = r[np.cumsum(first) - 1] >> b[o].astype(np.uint64) & 1
+        prefix[o] = 2 * prefix[o] + bit.astype(np.int64)
+        below[o] = prefix[o] < q >> (31 - t)
+        open_[o] = prefix[o] == q >> (31 - t)
+    coins = np.zeros(need.shape, dtype=bool)
+    coins[need] = below
+    return coins
 
 
 def _reference_root(cfg: SimConfig) -> SimResult:
@@ -291,7 +389,8 @@ def _assert_same_stream(cfg: SimConfig) -> None:
         assert simulate_root(cfg, max_workers=workers) == want, f"{workers} workers"
 
 
-# heights that give every 4095-trial chunk at least two leaf blocks
+# heights that give every 4095-trial Galton-Watson chunk at least two leaf blocks; several
+# lane blocks are exercised by the deep-tree, padding-lane and irregular-alpha tests
 _TREES = {"z2": (zary(2), 7), "z3": (zary(3), 4), "z5": (zary(5), 3), "gw": (FIG_FE, 3)}
 _KS = (1, 2, 6, 7, 8)
 _PROFILES = ("random", "uniform", "zero_sane")
@@ -313,15 +412,23 @@ def test_stream_identity_matrix(tree, k, kind, alpha):
 
 
 @pytest.mark.parametrize(
-    "z,height,trials,fused",
-    [(2, 17, 5, 17), (2, 18, 3, 17), (4, 9, 3, 8), (3, 12, 2, 10)],
+    "z,height,trials",
+    [(2, 17, 5), (2, 18, 3), (4, 9, 3), (3, 12, 2)],
     ids=["z2h17", "z2h18", "z4h9", "z3h12"],
 )
 @pytest.mark.parametrize("k,kind,alpha", [(2, "uniform", None), (8, "random", None), (3, "random", 0.5)])
-def test_stream_identity_deep_trees(z, height, trials, fused, k, kind, alpha):
-    """Trees too tall for one block: under either rule a block holds whole subtrees of its lowest levels."""
+def test_stream_identity_deep_trees(z, height, trials, k, kind, alpha):
+    """Trees too tall for one block: a block holds whole subtrees of the lowest levels, the rest is carried."""
     cfg = SimConfig(zary(z), _profile(kind, k), height=height, trials=trials, alpha=alpha, seed=5)
-    assert _ChunkKernel(cfg).fused == fused
+    assert _LaneKernel(cfg).block_positions(1) < z**height
+    _assert_same_stream(cfg)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3])
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 4095, 4097, 4160])
+def test_stream_identity_padding_lanes(trials, alpha):
+    """A chunk whose trials do not fill its last word simulates padding lanes, which never count or draw."""
+    cfg = SimConfig(zary(3), _profile("random", 2), height=6, trials=trials, alpha=alpha, seed=13)
     _assert_same_stream(cfg)
 
 
@@ -346,7 +453,7 @@ def test_stream_identity_wide_atom(profile, alpha):
     """
     law = make_offspring([(2, 0.99), (300, 0.01)])
     cfg = SimConfig(law, profile, height=2, trials=4097, alpha=alpha, seed=3)
-    assert _ChunkKernel(cfg).count_dtype == np.uint16
+    assert _ByteKernel(cfg).count_dtype == np.uint16
     _assert_same_stream(cfg)
 
 
@@ -357,22 +464,200 @@ def test_stream_identity_top_count_cut_rounds_to_one():
     """
     law = make_offspring([(2, 1 - 1e-11), (3, 1e-11)])
     cfg = SimConfig(law, _profile("random", 2), height=3, trials=4097, seed=8)
-    assert _ChunkKernel(cfg).qcut.tolist() == [2**32 - 1]
+    assert _ByteKernel(cfg).qcut.tolist() == [2**32 - 1]
     assert all(set(counts.tolist()) == {2} for counts in _reference_levels(cfg, 0, CHUNK_TRIALS))
     _assert_same_stream(cfg)
 
 
-@pytest.mark.parametrize("z,k", [(z, k) for z in (2, 3, 4) for k in (1, 2, 3)] + [(2, 8)])
+_COMBINE_CASES = [(z, k) for z in (2, 3, 4) for k in (1, 2, 3)] + [(2, 8)]
+
+
+def _child_tuples(z: int, k: int) -> np.ndarray:
+    """Every tuple of z child state indices, index i < k for disease i+1 and k for sane."""
+    return np.array(list(itertools.product(range(k + 1), repeat=z)), dtype=np.uint8)
+
+
+def _state(index: int, k: int) -> int:
+    return SANE if index == k else index + 1
+
+
+@pytest.mark.parametrize("z,k", _COMBINE_CASES)
 def test_level_combine_exhaustive(z, k):
-    """Every child tuple through the kernel's masks and combine equals combine_children."""
-    kernel = _ChunkKernel(SimConfig(zary(z), _profile("uniform", k), height=1, trials=1))
-    # leaf index i < k is disease i+1, index k is sane
-    tuples = np.array(list(itertools.product(range(k + 1), repeat=z)), dtype=np.uint8)
-    got = kernel.keep_single_bit(_and_columns(kernel.leaf_masks(tuples.ravel()).reshape(-1, z)))
-    parents = [combine_children([SANE if i == k else i + 1 for i in t]) for t in tuples]
+    """Every child tuple through the Galton-Watson kernel's masks and reduceat combine equals combine_children."""
+    kernel = _ByteKernel(SimConfig(FIG_FE, _profile("uniform", k), height=1, trials=1))
+    tuples = _child_tuples(z, k)
+    counts = np.full(len(tuples), z, dtype=kernel.count_dtype)
+    got = kernel.combine(kernel.leaf_masks(tuples.ravel()), counts, np.arange(0, tuples.size, z), None)
+    parents = [combine_children([_state(i, k) for i in t]) for t in tuples]
     want = kernel.leaf_masks(np.array([k if s == SANE else s - 1 for s in parents], dtype=np.uint8))
     assert got.dtype == want.dtype == (np.uint16 if k == 8 else np.uint8)
     assert np.array_equal(got, want)
+
+
+# --- lane kernel oracles: chosen inputs packed into 64-trial words ---------------------
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Bool lanes (..., 64 w) as uint64 words (..., w): lane l of word g is bit l."""
+    return np.ascontiguousarray(np.packbits(bits, axis=-1, bitorder="little")).view("<u8").astype(np.uint64)
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    return np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8), axis=-1, bitorder="little").astype(bool)
+
+
+def _pack_states(states: np.ndarray, k: int) -> np.ndarray:
+    """k+1 bit-planes of state indices (..., 64 w): plane i < k is disease i+1 or sane, plane k sane."""
+    return np.stack([_pack((states == i) | (states == k)) for i in range(k)] + [_pack(states == k)])
+
+
+def _unpack_states(planes: np.ndarray, k: int) -> np.ndarray:
+    """State indices of k+1 bit-planes; every lane must be a single disease or sane."""
+    bits = _unpack(planes)
+    sane = bits[k]
+    assert np.all(bits[:k][:, sane]) and np.all(bits[:k].sum(axis=0)[~sane] == 1)
+    return np.where(sane, k, bits[:k].argmax(axis=0))
+
+
+def _lanes_of_tuples(tuples: np.ndarray, words: int) -> np.ndarray:
+    """Child states (parents, z, 64 words), every tuple once and then repeated to fill the lanes."""
+    n_lanes = 64 * words
+    n_par = -(-len(tuples) // n_lanes)
+    cycled = tuples[np.arange(n_par * n_lanes) % len(tuples)]
+    return cycled.reshape(n_par, n_lanes, -1).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("z,k", _COMBINE_CASES)
+def test_lane_combine_exhaustive(z, k):
+    """Every child tuple, packed into lanes of several parents, combines as combine_children says."""
+    kernel = _LaneKernel(SimConfig(zary(z), _profile("uniform", k), height=1, trials=1))
+    tuples = _child_tuples(z, k)
+    kids = _lanes_of_tuples(tuples, words=2)
+    got = _unpack_states(kernel.combine(_pack_states(kids.reshape(-1, kids.shape[-1]), k)), k)
+    for p in range(len(kids)):
+        for lane in range(kids.shape[-1]):
+            parent = combine_children([_state(i, k) for i in kids[p, :, lane]])
+            assert got[p, lane] == (k if parent == SANE else parent - 1)
+
+
+class _StubRng:
+    """rng for combine_children that keeps the parent sane exactly when `stay` says so."""
+
+    def __init__(self, stay: bool):
+        self.stay = stay
+
+    def random(self) -> float:
+        return 0.0 if self.stay else 1.0
+
+
+@pytest.mark.parametrize("z,k", [(z, k) for z in (2, 3, 4) for k in (1, 2, 3)])
+def test_lane_variant_with_injected_coins(z, k):
+    """Every child tuple under every coin pattern: the parent stays sane when each infected child's coin is set."""
+    kernel = _LaneKernel(SimConfig(zary(z), _profile("uniform", k), height=1, trials=1, alpha=0.5))
+    tuples = _child_tuples(z, k)
+    coin_sets = np.array(list(itertools.product((False, True), repeat=z)))
+    cases = np.array([(*t, *c) for t in tuples for c in coin_sets], dtype=np.uint8)
+    lanes = _lanes_of_tuples(cases, words=1)
+    kids, coins = lanes[:, :z], lanes[:, z:].astype(bool)
+    seen = []
+
+    def inject(need):
+        seen.append(need.copy())
+        return need & _pack(coins)
+
+    valid = np.full(1, ~np.uint64(0))
+    got = _unpack_states(kernel.combine(_pack_states(kids.reshape(-1, kids.shape[-1]), k), inject, valid), k)
+    want_need = np.zeros(kids.shape, dtype=bool)
+    for p in range(len(kids)):
+        for lane in range(kids.shape[-1]):
+            states = [_state(i, k) for i in kids[p, :, lane]]
+            infected = np.array([s != SANE for s in states])
+            undecided = len(set(states) - {SANE}) == 1 and not infected.all()
+            want_need[p, :, lane] = undecided & infected
+            stay = bool(coins[p, infected, lane].all())
+            parent = combine_children(states, alpha=0.5, rng=_StubRng(stay))
+            assert got[p, lane] == (k if parent == SANE else parent - 1)
+    assert len(seen) == 1 and np.array_equal(_unpack(seen[0]), want_need)
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 1.0], ids=["q_2_32", "q_0"])
+@pytest.mark.parametrize("z,k", [(2, 2), (3, 1), (4, 3)])
+def test_lane_variant_alpha_extremes(z, k, alpha):
+    """An alpha so small that q rounds to 2^32 keeps every undecided parent sane without a draw.
+
+    alpha = 1 gives q = 0, the standard rule.
+    """
+    kernel = _LaneKernel(SimConfig(zary(z), _profile("uniform", k), height=1, trials=1, alpha=alpha))
+    kids = _lanes_of_tuples(_child_tuples(z, k), words=1)
+    planes = _pack_states(kids.reshape(-1, kids.shape[-1]), k)
+
+    def no_draw(t, n):
+        raise AssertionError("a coin was drawn")
+
+    if alpha == 1.0:
+        assert kernel.q is None
+        got = kernel.combine(planes)
+    else:
+        assert kernel.q == 1 << 32
+        got = kernel.combine(planes, lambda need: kernel.coins(no_draw, need), np.full(1, ~np.uint64(0)))
+    rng = random.Random(0)
+    want = [[combine_children([_state(i, k) for i in kids[p, :, lane]], alpha=alpha, rng=rng)
+             for lane in range(kids.shape[-1])] for p in range(len(kids))]
+    assert np.array_equal(_unpack_states(got, k), np.array([[k if s == SANE else s - 1 for s in row] for row in want]))
+
+
+_T = LANE_EAGER_BITS
+
+
+@pytest.mark.parametrize(
+    "cuts",
+    [
+        (0x55555555, 0xAAAAAAAB),
+        (0, 1 << 31, (1 << 32) - 1),
+        (123456789, 123456789, 3_000_000_000),
+        (1 << 30, 1 << 32),
+        (5 << (32 - _T), 0x9E3779B9),
+        (5 << (32 - _T), 3 << 30),
+    ],
+    ids=["no_short_form", "zero_and_top", "equal_cuts", "top_cut_2_32", "eager_multiple", "all_eager"],
+)
+def test_lane_leaves_match_searchsorted(cuts):
+    """Chosen uniforms next to every cut land in searchsorted(cuts, u, "right").
+
+    Only the words where a lane ties with a cut that has set bits below the eager planes
+    ask for the rest of their bits.
+    """
+    bounds = np.array((0, *cuts, 1 << 32), dtype=np.float64)
+    kernel = _LaneKernel(SimConfig(zary(2), tuple((np.diff(bounds) / 2.0**32).tolist()), height=1, trials=1))
+    assert [c for c, _ in kernel.cuts] == [c for c in cuts if c < 1 << 32]
+    chosen = sorted({min(max(c + d, 0), (1 << 32) - 1) for c in cuts for d in (-1, 0, 1)} | {0, (1 << 32) - 1})
+    n_pos, words = 3, 2
+    u = np.random.default_rng(1).integers(0, 1 << 32, size=n_pos * words * 64, dtype=np.uint64)
+    u[: len(chosen)] = chosen
+    u[-len(chosen):] = chosen  # in another position and word too
+    u = u.reshape(n_pos, words * 64)
+    planes = np.stack([_pack(u >> np.uint64(31 - t) & 1 == 1).ravel() for t in range(32)])
+    asked = []
+
+    def draw(t, n):
+        assert n == n_pos * words
+        return planes[t]
+
+    def refine(idx):
+        asked.append(idx)
+        return planes[_T:, idx]
+
+    valid = np.full(words, ~np.uint64(0))
+    got = kernel.leaves(draw, refine, n_pos, valid, kernel.buffers(n_pos * words))
+    want = np.searchsorted(np.array(cuts, dtype=np.uint64), u, side="right")
+    assert np.array_equal(_unpack_states(got, len(cuts)), want)
+    deep = [c for c in cuts if c < 1 << 32 and c % (1 << (32 - _T))]
+    tied = np.zeros(u.shape, dtype=bool)
+    for c in deep:
+        tied |= u >> np.uint64(32 - _T) == c >> (32 - _T)
+    want_asked = np.flatnonzero(tied.reshape(n_pos, words, 64).any(axis=-1).ravel())
+    assert np.array_equal(np.concatenate(asked) if asked else np.empty(0, dtype=np.intp), want_asked)
+    assert asked or not deep
 
 
 def test_zary_chunk_memory_is_bounded():
