@@ -5,29 +5,34 @@ States are encoded as bitmasks over k+1 bits: disease i is the single bit
 AND of the children followed by "keep if exactly one bit survives, else
 sane", which matches the componentwise-product formulation of the spread
 rules and vectorises level by level without ever materialising a tree
-structure.  Two kernels evaluate it:
+structure.  Two layouts evaluate it:
 
-- z-ary trees run on trial lanes.  Bit l of a uint64 word g is trial 64g+l,
-  and a level holds k+1 bit-planes of words (bit i of every node's mask), one
-  row of words per node position.  Every trial has the same tree shape, so the
-  z children of a parent are z consecutive rows and a level is an AND over z
-  slabs followed by one zero test.
-- Galton-Watson (GW) trees store one mask per node and combine each parent's
-  children with bitwise_and.reduceat, since the shape differs between trials.
+- Lanes.  Bit l of a uint64 word g is lane 64g+l, and a level holds k+1
+  bit-planes of words (bit i of every node's mask), one row of words per node
+  position.  The z children of a parent are z consecutive rows, so a level is
+  an AND over z slabs followed by one zero test.  In a z-ary tree every trial
+  has the same shape, and the lanes are trials.  In a Galton-Watson (GW) tree
+  the lanes are depth-(height-1) parents with the same child count, so only the
+  bottom level runs on lanes: sharing one tree shape across trials would
+  correlate them.
+- Masks.  The GW levels above the bottom store one mask per node.  A window of
+  parents lists its parents by child count and each parent ANDs z consecutive
+  children, one reshape per atom of the offspring law.
 
 Trials are evaluated in fixed-size chunks.  Chunk c draws from independent
 SFC64 substreams SeedSequence(seed, spawn_key=(c, depth, role, ...)), and no
 generator is ever advanced or shared.  Leaves compare a 32-bit uniform with the
 profile's cumulative masses rounded to multiples of 2^-32; a cut that rounds to
-2^32 (no sane mass) is never reached.
+2^32 (no sane mass) is never reached.  uint32s are the low then the high half
+of each 64-bit word.
 
-Stream contract, version 3, for z-ary trees:
+Stream contract, version 3.  Lane leaves and coins:
 
 - leaves: bit-plane t < LANE_EAGER_BITS of every leaf word, that is bit 31-t
   of each lane's uniform, from key (height, 0, t), in word order (row-major
-  over positions and the chunk's words).  A word in which some trial's uniform
-  still ties with a cut on those bits draws its other 32 - LANE_EAGER_BITS
-  planes as that many consecutive words of key (height, 3), in word order;
+  over positions and words).  A word in which some lane's uniform still ties
+  with a cut on those bits draws its other 32 - LANE_EAGER_BITS planes as that
+  many consecutive words of key (height, 3), in word order;
 - retention rule: every infected child of an undecided parent (a lone
   surviving disease beside at least one sane child) flips a coin that is set
   when its uniform is below q = round((1-alpha) 2^32), compared bit-sliced:
@@ -36,24 +41,37 @@ Stream contract, version 3, for z-ary trees:
   infected child's coin is set, with probability (q 2^-32)^m for m infected
   children.
 
-Version 2, for GW trees:
+A z-ary chunk's lanes are its trials, and every level runs on them.  A GW chunk:
 
-- leaves (key (height, 0)): one uint32 per leaf, in order;
 - child counts (key (d, 1), depth d < height): one uint32 per node at depth
-  d, compared with the law's rounded cumulative masses;
-- retention draws (key (d, 2)): one uint32 per undecided node at depth d, in
-  node order; the parent stays sane when the draw is below
+  d, in count order (the order of the nodes' parents, then of their children),
+  compared with the law's rounded cumulative masses;
+- bottom level: the depth-(height-1) parents in blocks of BLOCK_PARENTS, in
+  count order.  A block's n_z parents with z children, in count order, are
+  lanes 0..n_z-1 of z leaf positions of ceil(n_z / 64) words.  Leaves and
+  coins (key (height-1, 4, t)) are drawn as above, block by block, atom by
+  atom (ascending), word by word;
+- each depth d < height-1: windows of WINDOW_PARENTS parents in count order.
+  A window's parents of the smallest atom z, in count order, take its first
+  z n_z children, z consecutive children each; those of the next atom take
+  the next ones, and so on;
+- retention draws (key (d, 2), d < height-1): one uint32 per undecided node at
+  depth d, in count order; the parent stays sane when the draw is below
   round((1-alpha)^m 2^32), m its infected children.
 
-uint32s are the low then the high half of each 64-bit word.  So a config and
-seed give the same output at any worker count, and the same as drawing every
-substream whole at once.  A chunk draws its leaves in cache-sized blocks and
-streams each block up the tree: every depth keeps a carry of the children
-whose parent is not complete yet, so no level is stored whole.  A z-ary block
-holds whole subtrees.  A GW chunk draws each depth's counts twice: a top-down
-pass keeps only the level sizes, and the bottom-up pass re-draws them in
-windows as their children arrive, so a chunk holds about one block at any
-height.
+Blocks and windows are a fixed number of parents, so which children a parent
+takes depends only on its own level's counts.  The children are iid subtree
+roots independent of those counts, so every parent has the right law.  Each
+level's results return to count order, which keeps the nodes of a level iid
+for the level above.
+
+A config and seed give the same output at any worker count, and the same as
+drawing every substream whole at once.  A chunk streams its nodes up the tree
+and stores no level whole.  A z-ary chunk draws its leaves in cache-sized
+blocks of whole subtrees, and every depth keeps a carry of the children whose
+parent is not complete yet.  A GW chunk draws each depth's counts twice: a
+top-down pass keeps only the level sizes, and the bottom-up pass re-draws them
+a block or window at a time, as the levels below produce the children.
 """
 
 from __future__ import annotations
@@ -72,8 +90,10 @@ from .offspring import OffspringDistribution
 SANE = 0  # scalar NodeState for a non-infected node; diseases are 1..k
 
 CHUNK_TRIALS = 4096
-BLOCK_LEAVES = 1 << 18  # GW leaves drawn and carried up the tree per cache-sized block
-MIN_LEVEL_NODES = 1 << 12  # a smaller GW level waits for the next block, saving calls on tiny arrays
+# GW parents per bottom lane block and per window of a level above it; both even, so a
+# depth's count draws split at 64-bit word boundaries
+BLOCK_PARENTS = 1 << 17
+WINDOW_PARENTS = 1 << 15
 LANE_EAGER_BITS = 12  # leaf bit-planes every lane word draws; a word with a tie draws the other 20
 LANE_BLOCK_WORDS = 1 << 17  # words across the k+1 bit-planes of a lane leaf block
 LANE_MIN_WORDS = 1 << 12  # a lane level of fewer words waits for the next block
@@ -170,14 +190,15 @@ def _planes_needed(c: int) -> int:
 
 
 class _LaneKernel:
-    """Per-config constants of the z-ary lane kernel, shared by every chunk.
+    """Per-config constants of the lane kernel, shared by every chunk.
 
-    A level is an array of k+1 bit-planes by node positions by the chunk's words:
-    plane i < k holds the lanes whose node is disease i+1 or sane, plane k the sane ones.
+    It runs z-ary chunks, and the bottom level of Galton-Watson chunks.  A level is an
+    array of k+1 bit-planes by node positions by words: plane i < k holds the lanes whose
+    node is disease i+1 or sane, plane k the sane ones.
     """
 
     def __init__(self, cfg: SimConfig):
-        self.cfg, self.k, self.z = cfg, cfg.k, cfg.dist.z_value
+        self.cfg, self.k = cfg, cfg.k
         self.cuts = [(c, _planes_needed(c)) for c in _leaf_cuts(cfg.profile)]
         self.leaf_planes = max((planes for _, planes in self.cuts), default=0)
         # the cuts a lane can still tie with after the eager planes
@@ -186,11 +207,11 @@ class _LaneKernel:
         q = 0 if cfg.alpha is None else int(np.rint((1.0 - cfg.alpha) * _U32))
         self.q = q or None
 
-    def block_positions(self, words: int) -> int:
-        """Leaf positions per block: whole subtrees of the lowest levels, about LANE_BLOCK_WORDS words."""
+    def block_positions(self, words: int, z: int) -> int:
+        """Leaf positions per z-ary block: whole subtrees of the lowest levels, about LANE_BLOCK_WORDS words."""
         per_block, span = max(1, LANE_BLOCK_WORDS // ((self.k + 1) * words)), 1
-        while span * self.z <= per_block and span < self.z**self.cfg.height:
-            span *= self.z
+        while span * z <= per_block and span < z**self.cfg.height:
+            span *= z
         return per_block // span * span
 
     def buffers(self, n: int) -> np.ndarray:
@@ -243,26 +264,26 @@ class _LaneKernel:
         planes[: self.k] |= planes[self.k]
         return planes.reshape(self.k + 1, n_pos, words)
 
-    def combine(self, kids: np.ndarray, coins=None, valid=None) -> np.ndarray:
+    def combine(self, kids: np.ndarray, z: int, coins=None, valid=None) -> np.ndarray:
         """Parents of kids, z consecutive positions each.
 
         Under the retention rule, coins(need) sets the lanes of need, the infected children
         of undecided parents (among those valid marks), whose coin lets the parent stay sane.
         """
         n_planes, n_pos, words = kids.shape
-        v = kids.reshape(n_planes, n_pos // self.z, self.z, words)
-        parents = _fold(np.bitwise_and, [v[:, :, j] for j in range(self.z)])
+        v = kids.reshape(n_planes, n_pos // z, z, words)
+        parents = _fold(np.bitwise_and, [v[:, :, j] for j in range(z)])
         clash = _fold(np.bitwise_or, parents)  # no bit survives: two diseases
         parents |= np.invert(clash, out=clash)
         if coins is None:
             return parents
         sane = v[self.k]
-        undecided = _fold(np.bitwise_or, [sane[:, j] for j in range(self.z)]) & ~parents[self.k] & valid
+        undecided = _fold(np.bitwise_or, [sane[:, j] for j in range(z)]) & ~parents[self.k] & valid
         if not undecided.any():
             return parents
         need = undecided[:, None, :] & ~sane
         stays = np.invert(need) | coins(need)
-        parents |= undecided & _fold(np.bitwise_and, [stays[:, j] for j in range(self.z)])
+        parents |= undecided & _fold(np.bitwise_and, [stays[:, j] for j in range(z)])
         return parents
 
     def coins(self, draw, need: np.ndarray) -> np.ndarray:
@@ -298,22 +319,16 @@ class _LaneKernel:
         The last word's lanes past n_trials are simulated but never counted, and draw nothing
         of their own.
         """
-        cfg, z, k, height = self.cfg, self.z, self.k, self.cfg.height
-        words = -(-n_trials // 64)
-        valid = np.full(words, _ONES)
-        if n_trials % 64:
-            valid[-1] = (1 << n_trials % 64) - 1
+        cfg, z, k, height = self.cfg, self.cfg.dist.z_value, self.k, self.cfg.height
+        valid = _valid_words(n_trials)
+        words = valid.size
         leaf_draw = _plane_draws(cfg.seed, chunk_index, height, _LEAVES)
-        refine_bits = _bits(cfg.seed, chunk_index, height, _REFINE)
-
-        def refine(idx):  # each word's later planes are consecutive words of the refine substream
-            return np.ascontiguousarray(refine_bits.random_raw(idx.size * (32 - LANE_EAGER_BITS)).reshape(idx.size, -1).T)
-
+        refine = _refine_draws(cfg.seed, chunk_index, height)
         coins = [None] * height
         if self.q is not None:
             coins = [partial(self.coins, _plane_draws(cfg.seed, chunk_index, depth, _COINS)) for depth in range(height)]
 
-        n_leaves, per_block = z**height, self.block_positions(words)
+        n_leaves, per_block = z**height, self.block_positions(words, z)
         buffers = self.buffers(min(per_block, n_leaves) * words)
         carries = [None] * height
         for start in range(0, n_leaves, per_block):
@@ -331,7 +346,7 @@ class _LaneKernel:
                     nodes, carries[depth] = nodes[:, :used], nodes[:, used:].copy()
                     if not used:
                         break
-                nodes = self.combine(nodes, coins[depth], valid)
+                nodes = self.combine(nodes, z, coins[depth], valid)
             else:
                 root = nodes[:, 0]
 
@@ -365,6 +380,27 @@ def _fold(ufunc, slabs) -> np.ndarray:
     return acc
 
 
+def _valid_words(n: int) -> np.ndarray:
+    """Words of n lanes, each lane's bit set: the last word's lanes past n are padding."""
+    valid = np.full(-(-n // 64), _ONES)
+    if n % 64:
+        valid[-1] = (1 << n % 64) - 1
+    return valid
+
+
+def _refine_draws(seed: int, chunk_index: int, height: int):
+    """refine(idx): leaf planes LANE_EAGER_BITS..31 of the words at idx, one row each.
+
+    Each word's later planes are consecutive words of the substream (chunk, height, REFINE).
+    """
+    bits = _bits(seed, chunk_index, height, _REFINE)
+
+    def refine(idx: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(bits.random_raw(idx.size * (32 - LANE_EAGER_BITS)).reshape(idx.size, -1).T)
+
+    return refine
+
+
 def _plane_draws(seed: int, *key: int):
     """draw(t, n): the next n words of the substream key + (t,), each created when first drawn."""
     streams = {}
@@ -377,17 +413,26 @@ def _plane_draws(seed: int, *key: int):
     return draw
 
 
-class _ByteKernel:
-    """Per-config constants of the Galton-Watson kernel, shared by every chunk: one mask per node."""
+class _GWKernel:
+    """Per-config constants of the Galton-Watson kernel, shared by every chunk.
+
+    The bottom level runs on the lane kernel with depth-(height-1) parents as lanes; every
+    level above it stores one mask per node.
+    """
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
+        self.cfg, self.lanes = cfg, _LaneKernel(cfg)
         k = cfg.k
         self.dtype = np.min_scalar_type((1 << (k + 1)) - 1)  # the smallest unsigned dtype with k+1 bits
         if self.dtype.kind != "u":
             raise SimulationError(f"k={k} too large for the bitmask simulator (max 63)")
         self.full = np.asarray((1 << (k + 1)) - 1, dtype=self.dtype)
-        self.cuts = np.array(_leaf_cuts(cfg.profile), dtype=np.uint32)
+        # spread[i, x]: the 8 lanes of byte x of bit-plane i as bit i of their little-endian masks
+        spread = np.zeros((k + 1, 256, 8, self.dtype.itemsize), dtype=np.uint8)
+        lane_bits = np.arange(256)[:, None] >> np.arange(8) & 1
+        for i in range(k + 1):
+            spread[i, :, :, i // 8] = lane_bits << i % 8
+        self.spread = spread.reshape(k + 1, 256, -1).view(np.uint64)
         dist = cfg.dist
         zs = [z for z, _ in dist.support]
         # child counts and infected-child tallies fit the smallest unsigned dtype holding the largest atom
@@ -398,14 +443,12 @@ class _ByteKernel:
             p_stay_sane = (1.0 - cfg.alpha) ** np.arange(max(zs) + 1).astype(float)
             self.stay_sane = np.rint(p_stay_sane * _U32).astype(np.uint64)
         self.zs = np.array(zs, dtype=self.count_dtype)
-        self.mean = dist.mean
         # uint32 thresholds of the child-count law; a cut that rounds to 2^32 becomes the largest
         # uint32, so the atoms above it keep 2^-32 of mass instead of taking every draw
         qcut = np.rint(np.cumsum([q for _, q in dist.support])[:-1] * _U32)
         self.qcut = np.minimum(qcut, _U32 - 1).astype(np.uint32)
-        self.z_steps = np.diff(zs).tolist()  # a draw at or above qcut[i] has z_steps[i] more children
 
-    def level_sizes(self, chunk_index: int, n_trials: int, cmp: np.ndarray) -> list[int]:
+    def level_sizes(self, chunk_index: int, n_trials: int) -> list[int]:
         """Nodes at each depth 0..height.
 
         Each depth's child counts are drawn from that depth's substream and only their sum is
@@ -415,121 +458,158 @@ class _ByteKernel:
         sizes = [n_trials]
         for depth in range(cfg.height):
             bits, n = _bits(cfg.seed, chunk_index, depth, _COUNTS), sizes[-1]
-            total = int(self.zs[0]) * n
-            for start in range(0, n, BLOCK_LEAVES):
-                u = _draw_u32(bits, min(BLOCK_LEAVES, n - start))
-                for cut, step in zip(self.qcut, self.z_steps):
-                    total += step * int(np.count_nonzero(np.greater_equal(u, cut, out=cmp[: u.size])))
+            total = sum(int(self.atoms(bits, min(BLOCK_PARENTS, n - start))[1] @ self.zs)
+                        for start in range(0, n, BLOCK_PARENTS))
             if total > cfg.node_budget * n_trials:
                 raise SimulationError(f"{total} sampled nodes at depth {depth + 1} of {n_trials} trials"
                                       f" exceed the budget of {cfg.node_budget:.3g} per trial")
             sizes.append(total)
         return sizes
 
-    def child_counts(self, bits, n: int) -> np.ndarray:
-        """Child counts of the next n nodes of a depth's substream; n is even unless no count follows."""
-        return self.zs.take(_bucket(_draw_u32(bits, n), self.qcut))
+    def atoms(self, bits, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms (indices into zs) of the next n nodes of a depth's substream, and the nodes of each atom.
 
-    def sample_leaves(self, bits, n: int, buffers: _BlockBuffers) -> np.ndarray:
-        """Masks of the leaf substream's next n leaves, in buffers; n is even unless no leaf follows."""
-        idx = _bucket(_draw_u32(bits, n), self.cuts, out=buffers.idx[:n], cmp=buffers.cmp[:n])
-        return self.leaf_masks(idx, out=buffers.masks[:n], sane=buffers.cmp[:n], patch=idx)
-
-    def leaf_masks(self, idx: np.ndarray, out=None, sane=None, patch=None) -> np.ndarray:
-        """Mask of leaf state idx: disease idx+1 for idx < k, sane for idx == k.
-
-        out, sane and patch are optional buffers of idx's size (mask, bool and mask dtypes);
-        patch may be idx itself.
+        n is even unless no count follows.
         """
-        m = np.left_shift(self.dtype.type(1), idx, out=out, dtype=self.dtype)
-        sane = np.equal(idx, self.cfg.k, out=sane)
-        return np.bitwise_or(m, np.multiply(sane, self.full >> 1, out=patch), out=m)
+        u, above, at_least = _draw_u32(bits, n), np.empty(n, dtype=bool), [n]
+        atoms = np.zeros(n, dtype=np.min_scalar_type(len(self.qcut)))
+        for cut in self.qcut:
+            atoms += np.greater_equal(u, cut, out=above)
+            at_least.append(int(np.count_nonzero(above)))
+        return atoms, -np.diff(at_least + [0])
+
+    def groups(self, atoms: np.ndarray):
+        """(z, positions) of each atom present in atoms, atoms ascending, positions in count order."""
+        for a, z in enumerate(self.zs.tolist()):
+            sel = np.flatnonzero(atoms == a)
+            if sel.size:
+                yield z, sel
 
     def keep_single_bit(self, m: np.ndarray) -> np.ndarray:
         """'Exactly one surviving bit keeps its disease, else sane'.
 
-        m is an AND of leaf masks, so it is a single bit, full or 0.
+        m is an AND of masks, so it is a single bit, full or 0.
         """
         return m | (m == 0) * self.full
 
-    def combine(self, kids: np.ndarray, counts: np.ndarray, starts: np.ndarray, variant) -> np.ndarray:
-        """Parents of kids, counts[i] from starts[i]; variant draws the retention rule's uint32s."""
-        parents = self.keep_single_bit(np.bitwise_and.reduceat(kids, starts))
+    def combine(self, kids: np.ndarray, atoms: np.ndarray, variant) -> np.ndarray:
+        """Parents, in count order, of a window whose child counts are zs[atoms].
+
+        The parents of the smallest atom z, in count order, take the first z n_z kids, z
+        consecutive kids each; those of the next atom the z n_z after them, and so on.
+        variant draws the retention rule's uint32s, for the undecided parents in count order.
+        """
+        parents = np.empty(atoms.size, dtype=self.dtype)
+        tally = None if variant is None else np.empty(atoms.size, dtype=self.count_dtype)
+        start = 0
+        for z, sel in self.groups(atoms):
+            v = kids[start : start + z * sel.size].reshape(sel.size, z)
+            start += z * sel.size
+            parents[sel] = _fold(np.bitwise_and, [v[:, j] for j in range(z)])
+            if tally is not None:
+                infected = np.not_equal(v, self.full)
+                columns = [infected[:, j] for j in range(z)]
+                columns[0] = columns[0].astype(self.count_dtype)  # so the sum is held in count_dtype
+                tally[sel] = _fold(np.add, columns)
+        parents = self.keep_single_bit(parents)
         if variant is None:
             return parents
-        n_infected = np.add.reduceat((kids != self.full).view(np.uint8), starts, dtype=self.count_dtype)
         # only a lone surviving disease beside at least one sane child is left to chance
-        undecided = np.flatnonzero((parents != self.full) & (n_infected < counts))
+        undecided = np.flatnonzero((parents != self.full) & (tally < self.zs.take(atoms)))
         u = variant.integers(0, 1 << 32, size=undecided.size, dtype=np.uint32)
-        parents[undecided[u < self.stay_sane.take(n_infected[undecided])]] = self.full
+        parents[undecided[u < self.stay_sane.take(tally[undecided])]] = self.full
         return parents
+
+    def masks(self, planes: np.ndarray, buffers: np.ndarray) -> np.ndarray:
+        """Masks of the lanes of planes (k+1 rows of words): bit i of a lane's mask is its bit in plane i.
+
+        The masks are written to the lane buffers, which must hold 16 words per word of planes
+        and byte of a mask.
+        """
+        size, n = self.dtype.itemsize, 8 * planes.shape[1]
+        out, tmp = buffers.reshape(-1)[: 2 * n * size].reshape(2, n, size)
+        lane_bytes = planes.astype("<u8", copy=False).view(np.uint8)
+        np.take(self.spread[0], lane_bytes[0], axis=0, out=out)
+        for i in range(1, len(planes)):
+            out |= np.take(self.spread[i], lane_bytes[i], axis=0, out=tmp)
+        return out.reshape(-1).view(self.dtype.newbyteorder("<"))
+
+    def bottom_level(self, chunk_index: int, n_parents: int):
+        """Masks of the chunk's depth-(height-1) nodes in count order, BLOCK_PARENTS at a time.
+
+        Each block's parents are grouped by atom: atom z's n_z parents are the lanes of z leaf
+        positions of ceil(n_z / 64) words, combined by the lane kernel.  One set of lane
+        buffers, which also takes each group's masks, serves the whole chunk; it grows to the
+        largest group of a block.
+        """
+        cfg, lanes, height = self.cfg, self.lanes, self.cfg.height
+        count_bits = _bits(cfg.seed, chunk_index, height - 1, _COUNTS)
+        leaf_draw = _plane_draws(cfg.seed, chunk_index, height, _LEAVES)
+        refine = _refine_draws(cfg.seed, chunk_index, height)
+        coins = None
+        if lanes.q is not None:
+            coins = partial(lanes.coins, _plane_draws(cfg.seed, chunk_index, height - 1, _COINS))
+        buffers = lanes.buffers(0)
+        # positions per word the buffers hold for a group of atom z: its leaves, then its masks
+        span = [max(z, -(-16 * self.dtype.itemsize // len(buffers))) for z in self.zs.tolist()]
+        for start in range(0, n_parents, BLOCK_PARENTS):
+            atoms, per_atom = self.atoms(count_bits, min(BLOCK_PARENTS, n_parents - start))
+            most = max(s * -(-n // 64) for s, n in zip(span, per_atom))
+            if buffers.shape[1] < most:  # with an eighth to spare: the largest group varies a little
+                buffers = lanes.buffers(most * 9 // 8)
+            parents = np.empty(atoms.size, dtype=self.dtype)
+            for z, sel in self.groups(atoms):
+                valid = _valid_words(sel.size)
+                kids = lanes.leaves(leaf_draw, refine, z, valid, buffers)
+                parents[sel] = self.masks(lanes.combine(kids, z, coins, valid)[:, 0], buffers)[: sel.size]
+            yield parents
+
+    def upper_level(self, chunk_index: int, depth: int, n_parents: int, below):
+        """Masks of the chunk's depth-`depth` nodes in count order, from those one level below.
+
+        Windows of WINDOW_PARENTS parents in count order take their children from below, a
+        sequence of arrays in count order, and each window combines as combine says.
+        """
+        cfg = self.cfg
+        count_bits = _bits(cfg.seed, chunk_index, depth, _COUNTS)
+        variant = None if cfg.alpha is None else np.random.Generator(_bits(cfg.seed, chunk_index, depth, _VARIANT))
+        kids = _Taker(below)
+        for start in range(0, n_parents, WINDOW_PARENTS):
+            atoms, per_atom = self.atoms(count_bits, min(WINDOW_PARENTS, n_parents - start))
+            yield self.combine(kids.take(int(per_atom @ self.zs), self.dtype), atoms, variant)
 
     def chunk(self, chunk_index: int, n_trials: int) -> np.ndarray:
         """Root-state counts (k diseases then sane) for one chunk of trials.
 
-        Leaves are drawn in order, a block at a time, and each block is carried up the tree
-        at once: every depth keeps the children whose parent is not complete yet, and, until
-        the chunk's last block, any level of fewer than MIN_LEVEL_NODES nodes.  Each depth
-        re-draws its child counts in windows, as its children arrive.
+        A top-down pass keeps only the level sizes.  The bottom-up pass chains bottom_level
+        and one upper_level per depth, each a generator of node masks in count order.
         """
         cfg, height = self.cfg, self.cfg.height
-        buffers = _BlockBuffers(self, BLOCK_LEAVES)
-        sizes = self.level_sizes(chunk_index, n_trials, buffers.cmp)
-        count_bits = [_bits(cfg.seed, chunk_index, depth, _COUNTS) for depth in range(height)]
-        n_leaves = sizes[-1]
-        leaves = _bits(cfg.seed, chunk_index, height, _LEAVES)
-        variants = [None if cfg.alpha is None else np.random.Generator(_bits(cfg.seed, chunk_index, depth, _VARIANT))
-                    for depth in range(height)]
-        pending = [np.empty(0, dtype=self.count_dtype)] * height  # drawn counts of parents not yet combined
-        undrawn = sizes[:-1]
-
-        empty = np.empty(0, dtype=self.dtype)
-        carries = [empty] * height
-        roots, n_roots = np.empty(n_trials, dtype=self.dtype), 0
-        for start in range(0, n_leaves, BLOCK_LEAVES):
-            nodes = self.sample_leaves(leaves, min(BLOCK_LEAVES, n_leaves - start), buffers)
-            last = start + BLOCK_LEAVES >= n_leaves
-            for depth in range(height - 1, -1, -1):
-                if carries[depth].size:
-                    nodes, carries[depth] = np.concatenate((carries[depth], nodes)), empty
-                if nodes.size < MIN_LEVEL_NODES and not last:
-                    carries[depth] = nodes.copy()  # a copy, so no carry points into the block buffers
-                    break
-                # the parents whose children have all arrived, from a window of child counts about
-                # as long as the nodes at hand hold parents; the last block takes every count left
-                have = pending[depth].size
-                want = have + undrawn[depth]
-                if not last:
-                    want = min(int(nodes.size / self.mean), want)
-                if want > have:
-                    n = min(want - have + (want - have) % 2, undrawn[depth])
-                    pending[depth] = np.concatenate((pending[depth], self.child_counts(count_bits[depth], n)))
-                    undrawn[depth] -= n
-                window = pending[depth][:want]
-                ends = np.cumsum(window, dtype=np.int64)
-                n = int(np.searchsorted(ends, nodes.size, side="right"))
-                counts, pending[depth] = window[:n], pending[depth][n:]
-                used = int(ends[n - 1]) if n else 0
-                if used < nodes.size:
-                    nodes, carries[depth] = nodes[:used], nodes[used:].copy()
-                    if not used:
-                        break
-                nodes = self.combine(nodes, counts, ends[:n] - counts, variants[depth])
-            else:
-                roots[n_roots : n_roots + nodes.size] = nodes
-                n_roots += nodes.size
-
+        sizes = self.level_sizes(chunk_index, n_trials)
+        nodes = self.bottom_level(chunk_index, sizes[height - 1])
+        for depth in range(height - 2, -1, -1):
+            nodes = self.upper_level(chunk_index, depth, sizes[depth], nodes)
+        roots = np.concatenate(list(nodes))
         infected = [int((roots == 1 << i).sum()) for i in range(cfg.k)]
         return np.array(infected + [n_trials - sum(infected)], dtype=np.int64)
 
 
-class _BlockBuffers:
-    """One GW chunk's fixed-size block temporaries, reused through out= by every leaf block."""
+class _Taker:
+    """Consecutive runs of the nodes of an iterator of arrays."""
 
-    def __init__(self, kernel: _ByteKernel, n: int):
-        self.idx = np.empty(n, dtype=kernel.dtype)  # a leaf's state index, then its sane patch
-        self.cmp = np.empty(n, dtype=bool)
-        self.masks = np.empty(n, dtype=kernel.dtype)
+    def __init__(self, arrays):
+        self.arrays, self.rest = iter(arrays), None
+
+    def take(self, n: int, dtype) -> np.ndarray:
+        """The next n nodes, as a new array."""
+        out, filled = np.empty(n, dtype=dtype), 0
+        while filled < n:
+            if self.rest is None or not self.rest.size:
+                self.rest = next(self.arrays)
+            m = min(n - filled, self.rest.size)
+            out[filled : filled + m], self.rest = self.rest[:m], self.rest[m:]
+            filled += m
+        return out
 
 
 def _draw_u32(bits, n: int) -> np.ndarray:
@@ -539,16 +619,6 @@ def _draw_u32(bits, n: int) -> np.ndarray:
     matches one whole draw when every draw but the last is of an even n.
     """
     return bits.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
-
-
-def _bucket(u: np.ndarray, cuts, out=None, cmp=None) -> np.ndarray:
-    """Index of the bucket each draw falls in: the number of cuts at or below it."""
-    if out is None:
-        out = np.empty(u.shape, dtype=np.min_scalar_type(len(cuts)))
-    out[...] = 0
-    for c in cuts:
-        out += np.greater_equal(u, c, out=cmp)
-    return out
 
 
 def simulate_root(cfg: SimConfig, max_workers: int | None = None) -> SimResult:
@@ -572,7 +642,7 @@ def simulate_root(cfg: SimConfig, max_workers: int | None = None) -> SimResult:
     max_workers = max(1, max_workers)
 
     # every trial of a z-ary tree has the same shape, so z-ary chunks run 64 trials per word
-    kernel = _LaneKernel(cfg) if cfg.dist.is_deterministic else _ByteKernel(cfg)
+    kernel = _LaneKernel(cfg) if cfg.dist.is_deterministic else _GWKernel(cfg)
     n_chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
     sizes = [min(CHUNK_TRIALS, cfg.trials - c * CHUNK_TRIALS) for c in range(n_chunks)]
     if max_workers == 1 or n_chunks == 1:

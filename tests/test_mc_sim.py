@@ -18,7 +18,8 @@ from treespread import (
     step_variant,
     zary,
 )
-from treespread.mc_sim import CHUNK_TRIALS, LANE_EAGER_BITS, _ByteKernel, _LaneKernel
+from treespread import mc_sim
+from treespread.mc_sim import CHUNK_TRIALS, LANE_EAGER_BITS, _GWKernel, _LaneKernel
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
@@ -247,82 +248,62 @@ def _leaf_cuts(cfg: SimConfig) -> np.ndarray:
 
 
 def _reference_chunk(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndarray:
-    """Root-state counts of one chunk, each substream drawn whole with no blocking.
-
-    z-ary chunks: see _reference_lanes.  Galton-Watson chunks: each depth's child counts,
-    every leaf and each level's undecided-node uint32s come from the chunk's SFC64
-    substreams (depth, role) as whole arrays.  Leaves are uint32 draws against rounded
-    thresholds through searchsorted; masks come from a table, and each level is an AND
-    over each node's children followed by a lookup table (k+1 <= 8 bits) or a single-bit test.
-    """
+    """Root-state counts of one chunk, each substream drawn whole with no blocking."""
     if cfg.dist.is_deterministic:
         return _reference_lanes(cfg, chunk_index, n_trials)
-    k, alpha = cfg.k, cfg.alpha
-    mask_table, full, is_single_bit, keep_single_bit = _masks(k)
-
-    counts_per_level = _reference_levels(cfg, chunk_index, n_trials)
-    n = int(counts_per_level[-1].sum())
-    idx = np.searchsorted(_leaf_cuts(cfg), _uint32s(cfg, chunk_index, cfg.height, _LEAVES_ROLE, n), side="right")
-    level = mask_table[idx]
-
-    if alpha is not None:
-        max_z = max(z for z, _ in cfg.dist.support)
-        stay_sane = np.rint((1.0 - alpha) ** np.arange(max_z + 1).astype(float) * 2.0**32).astype(np.uint64)
-    for depth in reversed(range(cfg.height)):
-        counts = counts_per_level[depth]
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        m = np.bitwise_and.reduceat(level, offsets)
-        parents = keep_single_bit(m)
-        if alpha is not None:
-            n_infected = counts - np.add.reduceat((level == full).astype(np.int64), offsets)
-            undecided = np.flatnonzero(is_single_bit(m) & (n_infected < counts))
-            u = _uint32s(cfg, chunk_index, depth, _VARIANT_ROLE, undecided.size)
-            parents[undecided[u < stay_sane[n_infected[undecided]]]] = full
-        level = parents
-    return np.array([(level == mask).sum() for mask in mask_table])
+    return _reference_gw(cfg, chunk_index, n_trials)
 
 
-def _reference_lanes(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndarray:
-    """Root-state counts of one z-ary chunk, every lane's uniform built from whole substreams.
+def _reference_uniforms(cfg: SimConfig, chunk_index: int, word, lane, n_words: int) -> np.ndarray:
+    """The 32-bit leaf uniforms of the lanes at (word, lane), which list every lane that counts.
 
-    Trial i of position p is bit i % 64 of word p * words + i // 64.  The top
-    LANE_EAGER_BITS bits of a leaf's uniform come from the per-plane leaf substreams.  A
-    word in which some trial's top bits equal those of a cut with set bits below them
-    takes its other bits from the refine substream, 32 - LANE_EAGER_BITS consecutive
-    words per such word in word order.  Leaves are searchsorted into the cuts and each
-    level combines plain masks.  Under the retention rule each infected child of an
-    undecided parent keeps the parent sane when its uniform is below q; see _reference_coins.
+    Bit 31 - t < LANE_EAGER_BITS of a lane is bit `lane` of word `word` of the per-plane leaf
+    substream t, of which n_words are drawn.  A word in which some listed lane's top bits equal
+    those of a cut with set bits below them takes its other bits from the refine substream,
+    32 - LANE_EAGER_BITS consecutive words per such word in word order.
     """
-    k, z, height, eager = cfg.k, cfg.dist.z_value, cfg.height, LANE_EAGER_BITS
-    mask_table, full, is_single_bit, keep_single_bit = _masks(k)
-    words = -(-n_trials // 64)
-    n_pos = z**height
-    word = np.arange(n_pos)[:, None] * words + np.arange(n_trials) // 64
-    lane = np.broadcast_to(np.arange(n_trials, dtype=np.uint64) % 64, word.shape)
-
+    eager, height = LANE_EAGER_BITS, cfg.height
+    shifts = lane.astype(np.uint64)
     u = np.zeros(word.shape, dtype=np.uint64)
     for t in range(eager):
-        plane = _words(cfg, n_pos * words, chunk_index, height, _LEAVES_ROLE, t)
-        bits = np.unpackbits(plane.astype("<u8").view(np.uint8), bitorder="little").reshape(n_pos, -1)
-        u |= bits[:, :n_trials].astype(np.uint64) << np.uint64(31 - t)
+        plane = _words(cfg, n_words, chunk_index, height, _LEAVES_ROLE, t)
+        u |= (plane[word] >> shifts & np.uint64(1)) << np.uint64(31 - t)
     cuts = _leaf_cuts(cfg)
     low_bits = np.uint64(32 - eager)
     tied = np.zeros(word.shape, dtype=bool)
     for c in cuts[cuts < 2**32]:
         if c % (1 << (32 - eager)):
             tied |= u >> low_bits == c >> low_bits
-    refined = np.zeros(n_pos * words, dtype=bool)
+    refined = np.zeros(n_words, dtype=bool)
     refined[word[tied]] = True
     low = _words(cfg, int(refined.sum()) * (32 - eager), chunk_index, height, _REFINE_ROLE).reshape(-1, 32 - eager)
     sel = refined[word]
-    rows, shifts = (np.cumsum(refined) - 1)[word[sel]], lane[sel]
+    rows, shifts = (np.cumsum(refined) - 1)[word[sel]], shifts[sel]
     tail = np.zeros(rows.size, dtype=np.uint64)
     for t in range(eager, 32):
-        tail |= (low[rows, t - eager] >> shifts & 1) << np.uint64(31 - t)
+        tail |= (low[rows, t - eager] >> shifts & np.uint64(1)) << np.uint64(31 - t)
     u[sel] |= tail
-    level = mask_table[np.searchsorted(cuts, u, side="right")]
+    return u
 
-    q = None if cfg.alpha is None else round((1.0 - cfg.alpha) * 2**32)
+
+def _reference_lanes(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndarray:
+    """Root-state counts of one z-ary chunk, every lane's uniform built from whole substreams.
+
+    Trial i of position p is bit i % 64 of word p * words + i // 64, and its uniform comes
+    from _reference_uniforms.  Leaves are searchsorted into the cuts and each level combines
+    plain masks.  Under the retention rule each infected child of an undecided parent keeps
+    the parent sane when its uniform is below q; see _reference_coins.
+    """
+    k, z, height = cfg.k, cfg.dist.z_value, cfg.height
+    mask_table, full, is_single_bit, keep_single_bit = _masks(k)
+    words = -(-n_trials // 64)
+    n_pos = z**height
+    word = np.arange(n_pos)[:, None] * words + np.arange(n_trials) // 64
+    lane = np.broadcast_to(np.arange(n_trials) % 64, word.shape)
+    u = _reference_uniforms(cfg, chunk_index, word, lane, n_pos * words)
+    level = mask_table[np.searchsorted(_leaf_cuts(cfg), u, side="right")]
+
+    q = _coin_threshold(cfg)
     for depth in reversed(range(height)):
         kids = level.reshape(-1, z, n_trials)
         m = np.bitwise_and.reduce(kids, axis=1)
@@ -336,34 +317,127 @@ def _reference_lanes(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndar
     return np.array([(level == mask).sum() for mask in mask_table])
 
 
-def _reference_coins(cfg, chunk_index, depth, q, need, words) -> np.ndarray:
-    """Which lanes of need have a uniform below q, each lane's bits drawn as its word needs them.
+def _coin_threshold(cfg: SimConfig):
+    """q = round((1 - alpha) 2^32) of the lane coins, or None for the standard rule (also alpha = 1)."""
+    return None if cfg.alpha is None else round((1.0 - cfg.alpha) * 2**32) or None
 
-    need[p, j, i] is trial i of child j of parent p, bit i % 64 of child word (p z + j) words
-    + i // 64.  Bit 31 - t of every lane's uniform comes from substream (depth, COINS, t), one
-    word per child word that still has a lane whose bits so far equal q's, in word order; a
-    lane is decided once its bits differ from q's, or when q has no set bit left.
+
+def _reference_coins(cfg, chunk_index, depth, q, need, words) -> np.ndarray:
+    """Which lanes of need have a uniform below q; see _reference_coin_bits.
+
+    need[p, j, i] is trial i of child j of parent p, bit i % 64 of child word (p z + j) words + i // 64.
     """
-    if q >= 2**32:
-        return need.copy()
     n_par, z, n_trials = need.shape
     child_word = (np.arange(n_par * z)[:, None] * words + np.arange(n_trials) // 64).reshape(need.shape)
-    w, b = child_word[need], (np.arange(n_trials) % 64 + np.zeros(need.shape, dtype=int))[need]
+    coins = np.zeros(need.shape, dtype=bool)
+    coins[need] = _reference_coin_bits(cfg, chunk_index, depth, q, child_word[need], np.nonzero(need)[2] % 64)
+    return coins
+
+
+def _reference_coin_bits(cfg, chunk_index, depth, q, w, b) -> np.ndarray:
+    """Which lanes, bit b of child word w each and listed in word order, have a uniform below q.
+
+    Each lane's bits are drawn as its word needs them: bit 31 - t of every lane's uniform comes
+    from substream (depth, COINS, t), one word per child word that still has a lane whose bits
+    so far equal q's, in word order; a lane is decided once its bits differ from q's, or when q
+    has no set bit left.
+    """
+    if q >= 2**32:
+        return np.ones(w.size, dtype=bool)
     prefix, open_, below = np.zeros(w.size, dtype=np.int64), np.ones(w.size, dtype=bool), np.zeros(w.size, dtype=bool)
     lowest = (q & -q).bit_length() - 1
     for t in range(32 - lowest):
         o = np.flatnonzero(open_)
         if not o.size:
             break
-        first = np.diff(w[o], prepend=-1) != 0  # the needed lanes are in word order
+        first = np.diff(w[o], prepend=-1) != 0
         r = _words(cfg, int(first.sum()), chunk_index, depth, _COINS_ROLE, t)
-        bit = r[np.cumsum(first) - 1] >> b[o].astype(np.uint64) & 1
+        bit = r[np.cumsum(first) - 1] >> b[o].astype(np.uint64) & np.uint64(1)
         prefix[o] = 2 * prefix[o] + bit.astype(np.int64)
         below[o] = prefix[o] < q >> (31 - t)
         open_[o] = prefix[o] == q >> (31 - t)
-    coins = np.zeros(need.shape, dtype=bool)
-    coins[need] = below
-    return coins
+    return below
+
+
+def _reference_gw(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndarray:
+    """Root-state counts of one Galton-Watson chunk, each substream drawn whole.
+
+    Each depth's child counts come from _reference_levels.  The depth-(height-1) parents are
+    taken BLOCK_PARENTS at a time in count order, and a stable sort by child count lists a
+    block's parents atom by atom.  Atom z's n parents are lanes 0..n-1 of z leaf positions of
+    ceil(n / 64) words each, and the words of the (block, atom) groups follow each other.
+    Leaf uniforms come from _reference_uniforms and coins from _reference_coin_bits, at depth
+    height-1.  Above that depth, a stable sort of each window of WINDOW_PARENTS parents by
+    child count gives the order in which its parents take the window's children, z
+    consecutive children each.  The retention rule draws one uint32 per undecided parent of
+    a level, in count order, from substream (depth, VARIANT).
+    """
+    k, alpha, height = cfg.k, cfg.alpha, cfg.height
+    mask_table, full, is_single_bit, keep_single_bit = _masks(k)
+    counts_per_level = _reference_levels(cfg, chunk_index, n_trials)
+
+    bottom = counts_per_level[-1]
+    groups, word, lane, n_words = [], [], [], 0  # groups: (parents, z), their leaves position-major
+    for start in range(0, bottom.size, mc_sim.BLOCK_PARENTS):
+        order = start + np.argsort(bottom[start : start + mc_sim.BLOCK_PARENTS], kind="stable")
+        for z in np.unique(bottom[order]):
+            members = order[bottom[order] == z]
+            n, words = members.size, -(-members.size // 64)
+            groups.append((members, int(z)))
+            for p in range(z):
+                word.append(n_words + p * words + np.arange(n) // 64)
+                lane.append(np.arange(n) % 64)
+            n_words += z * words
+    word, lane = np.concatenate(word), np.concatenate(lane)
+    u = _reference_uniforms(cfg, chunk_index, word, lane, n_words)
+    leaves = mask_table[np.searchsorted(_leaf_cuts(cfg), u, side="right")]
+
+    def by_group(values):  # each group's (z, n) block of a per-leaf array, with its parents
+        offset = 0
+        for members, z in groups:
+            yield members, values[offset : offset + z * members.size].reshape(z, -1)
+            offset += z * members.size
+
+    m = np.empty(bottom.size, dtype=full.dtype)
+    has_sane = np.empty(bottom.size, dtype=bool)
+    for members, kids in by_group(leaves):
+        m[members] = np.bitwise_and.reduce(kids, axis=0)
+        has_sane[members] = (kids == full).any(axis=0)
+    level = keep_single_bit(m)
+    q = _coin_threshold(cfg)
+    if q:
+        undecided = is_single_bit(m) & has_sane
+        need = np.concatenate([np.tile(undecided[members], z) for members, z in groups])
+        need &= leaves != full
+        coins = np.zeros(leaves.size, dtype=bool)
+        coins[need] = _reference_coin_bits(cfg, chunk_index, height - 1, q, word[need], lane[need])
+        for (members, kids), (_, needed) in zip(by_group(coins), by_group(need)):
+            stays = (kids | ~needed).all(axis=0)
+            level[members[undecided[members] & stays]] = full
+
+    if alpha is not None:
+        max_z = max(z for z, _ in cfg.dist.support)
+        stay_sane = np.rint((1.0 - alpha) ** np.arange(max_z + 1).astype(float) * 2.0**32).astype(np.uint64)
+    for depth in reversed(range(height - 1)):
+        counts = counts_per_level[depth]
+        m = np.empty(counts.size, dtype=full.dtype)
+        n_infected = np.empty(counts.size, dtype=np.int64)
+        used = 0
+        for start in range(0, counts.size, mc_sim.WINDOW_PARENTS):
+            window = counts[start : start + mc_sim.WINDOW_PARENTS]
+            order = np.argsort(window, kind="stable")
+            kids = level[used : used + window.sum()]
+            offsets = np.concatenate(([0], np.cumsum(window[order])[:-1]))
+            m[start + order] = np.bitwise_and.reduceat(kids, offsets)
+            n_infected[start + order] = np.add.reduceat((kids != full).astype(np.int64), offsets)
+            used += window.sum()
+        parents = keep_single_bit(m)
+        if alpha is not None:
+            undecided = np.flatnonzero(is_single_bit(m) & (n_infected < counts))
+            u = _uint32s(cfg, chunk_index, depth, _VARIANT_ROLE, undecided.size)
+            parents[undecided[u < stay_sane[n_infected[undecided]]]] = full
+        level = parents
+    return np.array([(level == mask).sum() for mask in mask_table])
 
 
 def _reference_root(cfg: SimConfig) -> SimResult:
@@ -389,8 +463,9 @@ def _assert_same_stream(cfg: SimConfig) -> None:
         assert simulate_root(cfg, max_workers=workers) == want, f"{workers} workers"
 
 
-# heights that give every 4095-trial Galton-Watson chunk at least two leaf blocks; several
-# lane blocks are exercised by the deep-tree, padding-lane and irregular-alpha tests
+# heights that give every 4095-trial Galton-Watson chunk two bottom lane blocks; several
+# windows above the bottom are exercised by the GW block tests, several z-ary lane blocks by
+# the deep-tree, padding-lane and irregular-alpha tests
 _TREES = {"z2": (zary(2), 7), "z3": (zary(3), 4), "z5": (zary(5), 3), "gw": (FIG_FE, 3)}
 _KS = (1, 2, 6, 7, 8)
 _PROFILES = ("random", "uniform", "zero_sane")
@@ -420,7 +495,7 @@ def test_stream_identity_matrix(tree, k, kind, alpha):
 def test_stream_identity_deep_trees(z, height, trials, k, kind, alpha):
     """Trees too tall for one block: a block holds whole subtrees of the lowest levels, the rest is carried."""
     cfg = SimConfig(zary(z), _profile(kind, k), height=height, trials=trials, alpha=alpha, seed=5)
-    assert _LaneKernel(cfg).block_positions(1) < z**height
+    assert _LaneKernel(cfg).block_positions(1, z) < z**height
     _assert_same_stream(cfg)
 
 
@@ -453,7 +528,7 @@ def test_stream_identity_wide_atom(profile, alpha):
     """
     law = make_offspring([(2, 0.99), (300, 0.01)])
     cfg = SimConfig(law, profile, height=2, trials=4097, alpha=alpha, seed=3)
-    assert _ByteKernel(cfg).count_dtype == np.uint16
+    assert _GWKernel(cfg).count_dtype == np.uint16
     _assert_same_stream(cfg)
 
 
@@ -464,8 +539,41 @@ def test_stream_identity_top_count_cut_rounds_to_one():
     """
     law = make_offspring([(2, 1 - 1e-11), (3, 1e-11)])
     cfg = SimConfig(law, _profile("random", 2), height=3, trials=4097, seed=8)
-    assert _ByteKernel(cfg).qcut.tolist() == [2**32 - 1]
+    assert _GWKernel(cfg).qcut.tolist() == [2**32 - 1]
     assert all(set(counts.tolist()) == {2} for counts in _reference_levels(cfg, 0, CHUNK_TRIALS))
+    _assert_same_stream(cfg)
+
+
+def _bottom_groups(cfg: SimConfig, n_trials: int) -> list[int]:
+    """Sizes of the atom groups of every lane block of chunk 0's bottom level."""
+    bottom = _reference_levels(cfg, 0, n_trials)[-1]
+    blocks = [bottom[i : i + mc_sim.BLOCK_PARENTS] for i in range(0, bottom.size, mc_sim.BLOCK_PARENTS)]
+    return [int(n) for block in blocks for n in np.unique(block, return_counts=True)[1]]
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3])
+def test_stream_identity_gw_several_blocks(alpha):
+    """A chunk with several bottom lane blocks and several windows at the levels above."""
+    law = make_offspring([(2, 0.9), (3, 0.1)])
+    cfg = SimConfig(law, _profile("random", 2), height=7, trials=4097, alpha=alpha, seed=21)
+    levels = _reference_levels(cfg, 0, CHUNK_TRIALS)
+    assert levels[-1].size > mc_sim.BLOCK_PARENTS and levels[-2].size > 2 * mc_sim.WINDOW_PARENTS
+    _assert_same_stream(cfg)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3, 0.123456789])
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_stream_identity_gw_small_blocks(monkeypatch, k, alpha):
+    """Lane blocks of 130 parents and windows of 6: atom groups of 1 lane, of under 64, and of 64 and more.
+
+    Which children a parent takes, and in which lane word its leaves lie, depends on the blocks.
+    """
+    monkeypatch.setattr(mc_sim, "BLOCK_PARENTS", 130)
+    monkeypatch.setattr(mc_sim, "WINDOW_PARENTS", 6)
+    law = make_offspring([(2, 0.6), (3, 0.39), (7, 0.01)])
+    cfg = SimConfig(law, _profile("random", k), height=3, trials=300, alpha=alpha, seed=4)
+    sizes = _bottom_groups(cfg, cfg.trials)
+    assert 1 in sizes and any(n % 64 and n > 64 for n in sizes) and any(1 < n < 64 for n in sizes)
     _assert_same_stream(cfg)
 
 
@@ -483,13 +591,25 @@ def _state(index: int, k: int) -> int:
 
 @pytest.mark.parametrize("z,k", _COMBINE_CASES)
 def test_level_combine_exhaustive(z, k):
-    """Every child tuple through the Galton-Watson kernel's masks and reduceat combine equals combine_children."""
-    kernel = _ByteKernel(SimConfig(FIG_FE, _profile("uniform", k), height=1, trials=1))
-    tuples = _child_tuples(z, k)
-    counts = np.full(len(tuples), z, dtype=kernel.count_dtype)
-    got = kernel.combine(kernel.leaf_masks(tuples.ravel()), counts, np.arange(0, tuples.size, z), None)
-    parents = [combine_children([_state(i, k) for i in t]) for t in tuples]
-    want = kernel.leaf_masks(np.array([k if s == SANE else s - 1 for s in parents], dtype=np.uint8))
+    """Every child tuple of atom z, in a window that interleaves atoms 2, 3 and 4, combines as combine_children says.
+
+    The parents come in a shuffled count order, and the kids are laid out as _GWKernel.combine
+    documents: the parents of atom 2, in count order, take the first kids, two consecutive kids
+    each, then those of atom 3 the next ones, then those of atom 4.
+    """
+    law = make_offspring([(2, 0.4), (3, 0.3), (4, 0.3)])
+    kernel = _GWKernel(SimConfig(law, _profile("uniform", k), height=1, trials=1))
+    mask_table = _masks(k)[0]
+    rng = np.random.default_rng(10 * z + k)
+    tuples = [tuple(t) for t in _child_tuples(z, k)]
+    for other in {2, 3, 4} - {z}:  # as many parents of each other atom, with random children
+        tuples += [tuple(t) for t in rng.integers(0, k + 1, size=(len(tuples) // 2, other))]
+    parents = [tuples[i] for i in rng.permutation(len(tuples))]  # count order
+    atoms = np.array([len(t) - 2 for t in parents], dtype=np.uint8)
+    kids = np.concatenate([mask_table[list(t)] for a in (2, 3, 4) for t in parents if len(t) == a])
+    got = kernel.combine(kids, atoms, None)
+    states = [combine_children([_state(i, k) for i in t]) for t in parents]
+    want = mask_table[[k if s == SANE else s - 1 for s in states]]
     assert got.dtype == want.dtype == (np.uint16 if k == 8 else np.uint8)
     assert np.array_equal(got, want)
 
@@ -533,7 +653,7 @@ def test_lane_combine_exhaustive(z, k):
     kernel = _LaneKernel(SimConfig(zary(z), _profile("uniform", k), height=1, trials=1))
     tuples = _child_tuples(z, k)
     kids = _lanes_of_tuples(tuples, words=2)
-    got = _unpack_states(kernel.combine(_pack_states(kids.reshape(-1, kids.shape[-1]), k)), k)
+    got = _unpack_states(kernel.combine(_pack_states(kids.reshape(-1, kids.shape[-1]), k), z), k)
     for p in range(len(kids)):
         for lane in range(kids.shape[-1]):
             parent = combine_children([_state(i, k) for i in kids[p, :, lane]])
@@ -566,7 +686,7 @@ def test_lane_variant_with_injected_coins(z, k):
         return need & _pack(coins)
 
     valid = np.full(1, ~np.uint64(0))
-    got = _unpack_states(kernel.combine(_pack_states(kids.reshape(-1, kids.shape[-1]), k), inject, valid), k)
+    got = _unpack_states(kernel.combine(_pack_states(kids.reshape(-1, kids.shape[-1]), k), z, inject, valid), k)
     want_need = np.zeros(kids.shape, dtype=bool)
     for p in range(len(kids)):
         for lane in range(kids.shape[-1]):
@@ -596,10 +716,10 @@ def test_lane_variant_alpha_extremes(z, k, alpha):
 
     if alpha == 1.0:
         assert kernel.q is None
-        got = kernel.combine(planes)
+        got = kernel.combine(planes, z)
     else:
         assert kernel.q == 1 << 32
-        got = kernel.combine(planes, lambda need: kernel.coins(no_draw, need), np.full(1, ~np.uint64(0)))
+        got = kernel.combine(planes, z, lambda need: kernel.coins(no_draw, need), np.full(1, ~np.uint64(0)))
     rng = random.Random(0)
     want = [[combine_children([_state(i, k) for i in kids[p, :, lane]], alpha=alpha, rng=rng)
              for lane in range(kids.shape[-1])] for p in range(len(kids))]
