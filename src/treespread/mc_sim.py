@@ -69,9 +69,12 @@ A config and seed give the same output at any worker count, and the same as
 drawing every substream whole at once.  A chunk streams its nodes up the tree
 and stores no level whole.  A z-ary chunk draws its leaves in cache-sized
 blocks of whole subtrees, and every depth keeps a carry of the children whose
-parent is not complete yet.  A GW chunk draws each depth's counts twice: a
-top-down pass keeps only the level sizes, and the bottom-up pass re-draws them
-a block or window at a time, as the levels below produce the children.
+parent is not complete yet.  A GW chunk draws the counts of each depth above the
+leaf parents twice: a top-down pass keeps only the level sizes, and the
+bottom-up pass re-draws them a window at a time, as the levels below produce
+the children.  The leaf parents' counts are drawn once, a block at a time on
+the way up, and the leaves counted so far are checked against the node budget
+before each block's leaves are drawn.
 """
 
 from __future__ import annotations
@@ -224,8 +227,9 @@ class _LaneKernel:
         Each lane compares its uniform with every cut, most significant bit first: und
         holds the lanes whose bits so far equal the cut's, ge those already above it.
         draw(t, n) gives the next n words of bit-plane t; refine(idx) the planes
-        LANE_EAGER_BITS..31 (one row each) of the words at idx, those in which a lane
-        valid marks still ties with a cut after the eager planes.
+        LANE_EAGER_BITS..31 (one row each) of the words at idx, those in which a lane still
+        ties with a cut after the eager planes.  valid marks the lanes that count in each of a
+        position's words; only those ask for refine words.
         """
         words = valid.size
         n = n_pos * words
@@ -449,22 +453,27 @@ class _GWKernel:
         self.qcut = np.minimum(qcut, _U32 - 1).astype(np.uint32)
 
     def level_sizes(self, chunk_index: int, n_trials: int) -> list[int]:
-        """Nodes at each depth 0..height.
+        """Nodes at each depth 0..height-1.
 
         Each depth's child counts are drawn from that depth's substream and only their sum is
-        kept; a level over the node budget raises before the next level is drawn.
+        kept; a level over the node budget raises before the next level is drawn.  The leaf
+        parents' counts are left to bottom_level, which draws them once and checks the leaves.
         """
         cfg = self.cfg
         sizes = [n_trials]
-        for depth in range(cfg.height):
+        for depth in range(cfg.height - 1):
             bits, n = _bits(cfg.seed, chunk_index, depth, _COUNTS), sizes[-1]
             total = sum(int(self.atoms(bits, min(BLOCK_PARENTS, n - start))[1] @ self.zs)
                         for start in range(0, n, BLOCK_PARENTS))
-            if total > cfg.node_budget * n_trials:
-                raise SimulationError(f"{total} sampled nodes at depth {depth + 1} of {n_trials} trials"
-                                      f" exceed the budget of {cfg.node_budget:.3g} per trial")
+            self.check_budget(total, depth + 1, n_trials)
             sizes.append(total)
         return sizes
+
+    def check_budget(self, nodes: int, depth: int, n_trials: int) -> None:
+        """Raise once nodes sampled at depth, so far, exceed the node budget of n_trials trials."""
+        if nodes > self.cfg.node_budget * n_trials:
+            raise SimulationError(f"sampled nodes at depth {depth} of {n_trials} trials exceed the budget"
+                                  f" of {self.cfg.node_budget:.3g} per trial")
 
     def atoms(self, bits, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Atoms (indices into zs) of the next n nodes of a depth's substream, and the nodes of each atom.
@@ -534,13 +543,15 @@ class _GWKernel:
             out |= np.take(self.spread[i], lane_bytes[i], axis=0, out=tmp)
         return out.reshape(-1).view(self.dtype.newbyteorder("<"))
 
-    def bottom_level(self, chunk_index: int, n_parents: int):
+    def bottom_level(self, chunk_index: int, n_parents: int, n_trials: int):
         """Masks of the chunk's depth-(height-1) nodes in count order, BLOCK_PARENTS at a time.
 
         Each block's parents are grouped by atom: atom z's n_z parents are the lanes of z leaf
-        positions of ceil(n_z / 64) words, combined by the lane kernel.  One set of lane
-        buffers, which also takes each group's masks, serves the whole chunk; it grows to the
-        largest group of a block.
+        positions of ceil(n_z / 64) words.  The groups' words, atom ascending, are one row of
+        leaves drawn at once, each word with its group's valid lanes; each group is combined
+        on its own, and the roots of all of them become masks at once.  One set of lane
+        buffers, which also takes the masks, serves the whole chunk; it grows to the largest
+        block.  The leaves counted so far are checked against the node budget block by block.
         """
         cfg, lanes, height = self.cfg, self.lanes, self.cfg.height
         count_bits = _bits(cfg.seed, chunk_index, height - 1, _COUNTS)
@@ -549,19 +560,29 @@ class _GWKernel:
         coins = None
         if lanes.q is not None:
             coins = partial(lanes.coins, _plane_draws(cfg.seed, chunk_index, height - 1, _COINS))
-        buffers = lanes.buffers(0)
-        # positions per word the buffers hold for a group of atom z: its leaves, then its masks
-        span = [max(z, -(-16 * self.dtype.itemsize // len(buffers))) for z in self.zs.tolist()]
+        buffers, n_leaves = lanes.buffers(0), 0
         for start in range(0, n_parents, BLOCK_PARENTS):
             atoms, per_atom = self.atoms(count_bits, min(BLOCK_PARENTS, n_parents - start))
-            most = max(s * -(-n // 64) for s, n in zip(span, per_atom))
-            if buffers.shape[1] < most:  # with an eighth to spare: the largest group varies a little
+            n_leaves += int(per_atom @ self.zs)
+            self.check_budget(n_leaves, height, n_trials)
+            groups = [(z, n, -(-n // 64)) for z, n in zip(self.zs.tolist(), per_atom.tolist()) if n]
+            valid = np.concatenate([np.tile(_valid_words(n), z) for z, n, _ in groups])
+            n_roots = sum(words for _, _, words in groups)
+            # the buffers hold the leaf words, and afterwards 16 words per root word and byte of a mask
+            most = max(valid.size, -(-16 * self.dtype.itemsize * n_roots // len(buffers)))
+            if buffers.shape[1] < most:  # with an eighth to spare: the blocks vary a little
                 buffers = lanes.buffers(most * 9 // 8)
-            parents = np.empty(atoms.size, dtype=self.dtype)
-            for z, sel in self.groups(atoms):
-                valid = _valid_words(sel.size)
-                kids = lanes.leaves(leaf_draw, refine, z, valid, buffers)
-                parents[sel] = self.masks(lanes.combine(kids, z, coins, valid)[:, 0], buffers)[: sel.size]
+            leaves = lanes.leaves(leaf_draw, refine, 1, valid, buffers)[:, 0]
+            roots, offset = [], 0
+            for z, _, words in groups:
+                kids = leaves[:, offset : offset + z * words].reshape(-1, z, words)
+                roots.append(lanes.combine(kids, z, coins, valid[offset : offset + words])[:, 0])
+                offset += z * words
+            masks = self.masks(np.concatenate(roots, axis=1), buffers)
+            parents, offset = np.empty(atoms.size, dtype=self.dtype), 0
+            for (_, sel), (_, n, words) in zip(self.groups(atoms), groups):
+                parents[sel] = masks[offset : offset + n]
+                offset += 64 * words
             yield parents
 
     def upper_level(self, chunk_index: int, depth: int, n_parents: int, below):
@@ -581,12 +602,13 @@ class _GWKernel:
     def chunk(self, chunk_index: int, n_trials: int) -> np.ndarray:
         """Root-state counts (k diseases then sane) for one chunk of trials.
 
-        A top-down pass keeps only the level sizes.  The bottom-up pass chains bottom_level
-        and one upper_level per depth, each a generator of node masks in count order.
+        A top-down pass keeps only the level sizes above the leaves.  The bottom-up pass
+        chains bottom_level and one upper_level per depth, each a generator of node masks in
+        count order.
         """
         cfg, height = self.cfg, self.cfg.height
         sizes = self.level_sizes(chunk_index, n_trials)
-        nodes = self.bottom_level(chunk_index, sizes[height - 1])
+        nodes = self.bottom_level(chunk_index, sizes[height - 1], n_trials)
         for depth in range(height - 2, -1, -1):
             nodes = self.upper_level(chunk_index, depth, sizes[depth], nodes)
         roots = np.concatenate(list(nodes))

@@ -4,6 +4,7 @@ import pytest
 
 from treespread import SimConfig, SimResult, SimulationError, make_offspring, simulate_root
 from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main, parse_profile
+from treespread.mc_sim import _GWKernel
 
 
 def run(capsys, *argv):
@@ -277,6 +278,33 @@ class TestBadInput:
         assert code == EXIT_CONFIG
         assert "error:" in err and "budget" in err
 
+    def test_leaf_level_over_budget_exits_config(self, capsys):
+        # the top-down level sizes stop above the leaves, so a tree over the budget at its
+        # leaves only is refused on the way up; the CLI must still exit 1
+        law = make_offspring([(2, 0.9), (50, 0.1)])
+
+        def over_at_leaves_only(seed):
+            cfg = SimConfig(law, (0.5, 0.2, 0.3), height=4, trials=1, seed=seed, node_budget=2200)
+            try:
+                _GWKernel(cfg).level_sizes(0, 1)
+            except SimulationError:
+                return False
+            try:
+                simulate_root(cfg)
+            except SimulationError:
+                return True
+            return False
+
+        seed = next(filter(over_at_leaves_only, range(50)))
+        code, out, err = run(
+            capsys,
+            "simulate", "--offspring", '{"masses": [[2, 0.9], [50, 0.1]]}', "--profile", "0.5,0.2,0.3",
+            "--height", "4", "--trials", "1", "--seed", str(seed), "--node-budget", "2200",
+        )
+        assert code == EXIT_CONFIG
+        assert "error:" in err and "depth 4" in err and "budget" in err and "Traceback" not in err
+        assert out == ""
+
     def test_invalid_thread_count_names_the_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("TREESPREAD_THREADS", "abc")
         code, out, err = run(
@@ -300,6 +328,27 @@ class TestReproducibility:
             )
             assert code == EXIT_OK
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--offspring", '{"masses": [[3, 0.5], [6, 0.5]]}', "--height", "2", "--trials", "8193"),
+            ("--offspring", "zary:2", "--height", "5", "--trials", "8193", "--alpha", "0.3"),
+        ],
+        ids=["gw", "zary_retention"],
+    )
+    def test_out_independent_of_thread_count(self, capsys, tmp_path, monkeypatch, argv):
+        # three chunks, so two threads run them concurrently
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("TREESPREAD_THREADS", threads)
+            path = tmp_path / f"threads{threads}.json"
+            code, _, err = run(
+                capsys, "simulate", "--k", "2", "--profile", "0.5,0.2,0.3", "--seed", "7", *argv, "--out", str(path)
+            )
+            assert code == EXIT_OK, err
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,60 @@ class TestConfig:
                 simulate_root(cfg)
             refused.append(over)
         assert any(refused) and not all(refused)
+
+    def test_leaf_budget_checked_on_the_way_up(self, monkeypatch):
+        """A tree over the budget at its leaves only is refused by the bottom level, block by block.
+
+        level_sizes stops at the leaf parents and accepts the config.  The bottom level draws
+        the leaves of each block until the leaves counted so far pass the budget, and its
+        message names the depth and the budget but no node count.
+        """
+        monkeypatch.setattr(mc_sim, "BLOCK_PARENTS", 4)
+        cfg = next(_over_budget(leaves_only=True))
+        assert len(_GWKernel(cfg).level_sizes(0, 1)) == cfg.height
+        calls = _record_calls(monkeypatch, _LaneKernel, "leaves")
+        with pytest.raises(SimulationError) as refused:
+            simulate_root(cfg)
+        bottom = _reference_levels(cfg, 0, 1)[-1]
+        leaves_so_far = np.cumsum([bottom[i : i + 4].sum() for i in range(0, bottom.size, 4)])
+        assert 0 < len(calls) == np.argmax(leaves_so_far > cfg.node_budget)
+        message = str(refused.value)
+        assert f"depth {cfg.height} " in message and f"budget of {cfg.node_budget:.3g} " in message
+        assert re.findall(r"\d+", message.replace(f"{cfg.node_budget:.3g}", "")) == [str(cfg.height), "1"]
+
+    def test_upper_budget_checked_before_any_leaf(self, monkeypatch):
+        """A tree over the budget above its leaves is refused by level_sizes, before any leaf is drawn."""
+        cfg = next(_over_budget(leaves_only=False))
+        depth = next(d for d, counts in enumerate(_reference_levels(cfg, 0, 1), 1) if counts.sum() > cfg.node_budget)
+        calls = _record_calls(monkeypatch, _LaneKernel, "leaves")
+        with pytest.raises(SimulationError, match=f"depth {depth} .*budget"):
+            simulate_root(cfg)
+        assert depth < cfg.height and not calls
+
+
+def _over_budget(leaves_only: bool):
+    """One-trial configs whose sampled tree passes its node budget at the leaves only, or above them.
+
+    The law {2: 0.9, 50: 0.1} at height 4 expects 6.8^4 = 2138 nodes per trial, within the budget.
+    """
+    law = make_offspring([(2, 0.9), (50, 0.1)])
+    for seed in range(100):
+        cfg = SimConfig(law, (0.5, 0.2, 0.3), height=4, trials=1, seed=seed, node_budget=2200)
+        totals = [int(counts.sum()) for counts in _reference_levels(cfg, 0, 1)]
+        if (max(totals[:-1]) <= cfg.node_budget) == leaves_only and totals[-1] > cfg.node_budget:
+            yield cfg
+
+
+def _record_calls(monkeypatch, cls, name: str) -> list:
+    """The arguments of every later call of method `name` of cls, which still runs."""
+    calls, method = [], getattr(cls, name)
+
+    def recorded(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, recorded)
+    return calls
 
 
 class TestSimulate:
@@ -575,6 +630,39 @@ def test_stream_identity_gw_small_blocks(monkeypatch, k, alpha):
     sizes = _bottom_groups(cfg, cfg.trials)
     assert 1 in sizes and any(n % 64 and n > 64 for n in sizes) and any(1 < n < 64 for n in sizes)
     _assert_same_stream(cfg)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3])
+def test_stream_identity_gw_absent_atom(monkeypatch, alpha):
+    """A block's atom groups lie end to end in one leaf draw, and an absent atom takes no words.
+
+    With blocks of 130 parents the middle atom of {2: 0.5, 3: 0.01, 9: 0.49} is often missing,
+    and at k = 8 the words that ask for refine planes fall in more than one group of a block.
+    """
+    monkeypatch.setattr(mc_sim, "BLOCK_PARENTS", 130)
+    monkeypatch.setattr(mc_sim, "WINDOW_PARENTS", 6)
+    law = make_offspring([(2, 0.5), (3, 0.01), (9, 0.49)])
+    cfg = SimConfig(law, _profile("random", 8), height=3, trials=300, alpha=alpha, seed=4)
+    refined, leaves = [], _LaneKernel.leaves
+
+    def recorded(self, draw, refine, *args):
+        asked = []
+        refined.append(asked)
+        return leaves(self, draw, lambda idx: asked.append(idx) or refine(idx), *args)
+
+    monkeypatch.setattr(_LaneKernel, "leaves", recorded)
+    _assert_same_stream(cfg)
+    bottom = _reference_levels(cfg, 0, cfg.trials)[-1]
+    blocks = [bottom[i : i + mc_sim.BLOCK_PARENTS] for i in range(0, bottom.size, mc_sim.BLOCK_PARENTS)]
+    assert len(refined) == len(blocks)
+    absent_and_spanning = 0
+    for block, asked in zip(blocks, refined):
+        zs, n = np.unique(block, return_counts=True)
+        group_ends = np.cumsum(zs * -(-n // 64))  # leaf words of each group present, atom ascending
+        words = np.concatenate(asked) if asked else np.empty(0, dtype=np.intp)
+        groups = np.unique(np.searchsorted(group_ends, words, side="right"))
+        absent_and_spanning += zs.size < 3 and groups.size > 1
+    assert absent_and_spanning
 
 
 _COMBINE_CASES = [(z, k) for z in (2, 3, 4) for k in (1, 2, 3)] + [(2, 8)]
