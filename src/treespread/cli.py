@@ -42,6 +42,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BUDGET = 2
 EXIT_ABSENT = 3
+# basin holds every start, its verdict and its CSV row in memory at once
+MAX_STARTS = 10**6
 
 
 class ConfigError(ValueError):
@@ -148,8 +150,8 @@ def cmd_basin(args) -> int:
     dist = parse_offspring(args.offspring)
     if args.k is None:
         raise ConfigError("basin needs --k")
-    if args.starts < 1:
-        raise ConfigError(f"--starts must be >= 1, got {args.starts}")
+    if not 1 <= args.starts <= MAX_STARTS:
+        raise ConfigError(f"--starts must be between 1 and {MAX_STARTS}, got {args.starts}")
     spec = ScalarMapSpec(dist, args.k)
     orbit = analysis.find_orbit(spec, 2)
     if orbit is None:
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basin", help="classify random starts by their limiting orbit")
     common(p)
-    p.add_argument("--starts", type=int, default=10_000)
+    p.add_argument("--starts", type=int, default=10_000, help=f"random starts, at most {MAX_STARTS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=100_000)
     p.set_defaults(func=cmd_basin)

@@ -5,19 +5,14 @@ States are encoded as bitmasks over k+1 bits: disease i is the single bit
 AND of the children followed by "keep if exactly one bit survives, else
 sane", which matches the componentwise-product formulation of the spread
 rules and vectorises level by level without ever materialising a tree
-structure.  Two layouts evaluate it:
-
-- Lanes.  Bit l of a uint64 word g is lane 64g+l, and a level holds k+1
-  bit-planes of words (bit i of every node's mask), one row of words per node
-  position.  The z children of a parent are z consecutive rows, so a level is
-  an AND over z slabs followed by one zero test.  In a z-ary tree every trial
-  has the same shape, and the lanes are trials.  In a Galton-Watson (GW) tree
-  the lanes are depth-(height-1) parents with the same child count, so only the
-  bottom level runs on lanes: sharing one tree shape across trials would
-  correlate them.
-- Masks.  The GW levels above the bottom store one mask per node.  A window of
-  parents lists its parents by child count and each parent ANDs z consecutive
-  children, one reshape per atom of the offspring law.
+structure.  Every level runs on lanes: bit l of a uint64 word g is lane 64g+l,
+and a level holds k+1 bit-planes of words (bit i of every node's mask), one
+row of words per node position.  The z children of a parent are z consecutive
+rows, so a level is an AND over z slabs followed by one zero test.  In a z-ary
+tree every trial has the same shape, and the lanes are trials.  In a
+Galton-Watson (GW) tree the lanes are the parents of one level with the same
+child count, since sharing one tree shape across trials would correlate them;
+between levels each node is one mask.
 
 Trials are evaluated in fixed-size chunks.  Chunk c draws from independent
 SFC64 substreams SeedSequence(seed, spawn_key=(c, depth, role, ...)), and no
@@ -26,7 +21,7 @@ profile's cumulative masses rounded to multiples of 2^-32; a cut that rounds to
 2^32 (no sane mass) is never reached.  uint32s are the low then the high half
 of each 64-bit word.
 
-Stream contract, version 3.  Lane leaves and coins:
+Stream contract, version 4.  Lane leaves and coins:
 
 - leaves: bit-plane t < LANE_EAGER_BITS of every leaf word, that is bit 31-t
   of each lane's uniform, from key (height, 0, t), in word order (row-major
@@ -46,18 +41,16 @@ A z-ary chunk's lanes are its trials, and every level runs on them.  A GW chunk:
 - child counts (key (d, 1), depth d < height): one uint32 per node at depth
   d, in count order (the order of the nodes' parents, then of their children),
   compared with the law's rounded cumulative masses;
-- bottom level: the depth-(height-1) parents in blocks of BLOCK_PARENTS, in
-  count order.  A block's n_z parents with z children, in count order, are
-  lanes 0..n_z-1 of z leaf positions of ceil(n_z / 64) words.  Leaves and
-  coins (key (height-1, 4, t)) are drawn as above, block by block, atom by
-  atom (ascending), word by word;
-- each depth d < height-1: windows of WINDOW_PARENTS parents in count order.
-  A window's parents of the smallest atom z, in count order, take its first
-  z n_z children, z consecutive children each; those of the next atom take
-  the next ones, and so on;
-- retention draws (key (d, 2), d < height-1): one uint32 per undecided node at
-  depth d, in count order; the parent stays sane when the draw is below
-  round((1-alpha)^m 2^32), m its infected children.
+- each depth d: the depth-d parents in count order, in blocks of BLOCK_PARENTS
+  at d = height-1 and in windows of WINDOW_PARENTS above it.  A block's or
+  window's n_z parents with z children, in count order, are lanes 0..n_z-1 of
+  z child positions of ceil(n_z / 64) words, atom by atom (ascending).  At the
+  bottom the positions are leaves, drawn as above block by block.  Above it
+  the window's parents of the smallest atom z take the window's first z n_z
+  children in count order, z consecutive children each; those of the next atom
+  take the next ones, and so on;
+- coins at every depth d, key (d, 4, t): block by block (window by window
+  above the bottom), atom by atom, word by word.
 
 Blocks and windows are a fixed number of parents, so which children a parent
 takes depends only on its own level's counts.  The children are iid subtree
@@ -81,6 +74,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -103,7 +97,7 @@ LANE_MIN_WORDS = 1 << 12  # a lane level of fewer words waits for the next block
 DEFAULT_NODE_BUDGET = 1e8
 _U32 = float(1 << 32)
 _ONES = ~np.uint64(0)
-_LEAVES, _COUNTS, _VARIANT, _REFINE, _COINS = range(5)  # the roles of a chunk's substreams
+_LEAVES, _COUNTS, _REFINE, _COINS = 0, 1, 3, 4  # the roles of a chunk's substreams; 2 is unused
 
 
 class SimulationError(ValueError):
@@ -195,7 +189,7 @@ def _planes_needed(c: int) -> int:
 class _LaneKernel:
     """Per-config constants of the lane kernel, shared by every chunk.
 
-    It runs z-ary chunks, and the bottom level of Galton-Watson chunks.  A level is an
+    It runs z-ary chunks, and combines every level of Galton-Watson chunks.  A level is an
     array of k+1 bit-planes by node positions by words: plane i < k holds the lanes whose
     node is disease i+1 or sane, plane k the sane ones.
     """
@@ -314,6 +308,12 @@ class _LaneKernel:
             live, und = live[still], und[still]
         return below.reshape(need.shape)
 
+    def coin_draws(self, chunk_index: int, depth: int):
+        """coins(need) for a chunk's parents at depth, from key (depth, COINS, t); None for the standard rule."""
+        if self.q is None:
+            return None
+        return partial(self.coins, _plane_draws(self.cfg.seed, chunk_index, depth, _COINS))
+
     def chunk(self, chunk_index: int, n_trials: int) -> np.ndarray:
         """Root-state counts (k diseases then sane) for one chunk of trials.
 
@@ -328,9 +328,7 @@ class _LaneKernel:
         words = valid.size
         leaf_draw = _plane_draws(cfg.seed, chunk_index, height, _LEAVES)
         refine = _refine_draws(cfg.seed, chunk_index, height)
-        coins = [None] * height
-        if self.q is not None:
-            coins = [partial(self.coins, _plane_draws(cfg.seed, chunk_index, depth, _COINS)) for depth in range(height)]
+        coins = [self.coin_draws(chunk_index, depth) for depth in range(height)]
 
         n_leaves, per_block = z**height, self.block_positions(words, z)
         buffers = self.buffers(min(per_block, n_leaves) * words)
@@ -420,8 +418,9 @@ def _plane_draws(seed: int, *key: int):
 class _GWKernel:
     """Per-config constants of the Galton-Watson kernel, shared by every chunk.
 
-    The bottom level runs on the lane kernel with depth-(height-1) parents as lanes; every
-    level above it stores one mask per node.
+    Every level runs on the lane kernel: a bottom block's or a window's parents are its lanes,
+    grouped by child count, and combine_groups combines them.  Between levels each node is one
+    mask, in count order.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -430,7 +429,6 @@ class _GWKernel:
         self.dtype = np.min_scalar_type((1 << (k + 1)) - 1)  # the smallest unsigned dtype with k+1 bits
         if self.dtype.kind != "u":
             raise SimulationError(f"k={k} too large for the bitmask simulator (max 63)")
-        self.full = np.asarray((1 << (k + 1)) - 1, dtype=self.dtype)
         # spread[i, x]: the 8 lanes of byte x of bit-plane i as bit i of their little-endian masks
         spread = np.zeros((k + 1, 256, 8, self.dtype.itemsize), dtype=np.uint8)
         lane_bits = np.arange(256)[:, None] >> np.arange(8) & 1
@@ -438,15 +436,7 @@ class _GWKernel:
             spread[i, :, :, i // 8] = lane_bits << i % 8
         self.spread = spread.reshape(k + 1, 256, -1).view(np.uint64)
         dist = cfg.dist
-        zs = [z for z, _ in dist.support]
-        # child counts and infected-child tallies fit the smallest unsigned dtype holding the largest atom
-        self.count_dtype = np.min_scalar_type(max(zs))
-        if cfg.alpha is not None:
-            # a lone disease in m children, beside some sane ones, leaves the parent sane when a
-            # uint32 draw falls below (1-alpha)^m 2^32; uint64 holds 2^32 itself
-            p_stay_sane = (1.0 - cfg.alpha) ** np.arange(max(zs) + 1).astype(float)
-            self.stay_sane = np.rint(p_stay_sane * _U32).astype(np.uint64)
-        self.zs = np.array(zs, dtype=self.count_dtype)
+        self.zs = [z for z, _ in dist.support]
         # uint32 thresholds of the child-count law; a cut that rounds to 2^32 becomes the largest
         # uint32, so the atoms above it keep 2^-32 of mass instead of taking every draw
         qcut = np.rint(np.cumsum([q for _, q in dist.support])[:-1] * _U32)
@@ -463,8 +453,8 @@ class _GWKernel:
         sizes = [n_trials]
         for depth in range(cfg.height - 1):
             bits, n = _bits(cfg.seed, chunk_index, depth, _COUNTS), sizes[-1]
-            total = sum(int(self.atoms(bits, min(BLOCK_PARENTS, n - start))[1] @ self.zs)
-                        for start in range(0, n, BLOCK_PARENTS))
+            total = sum(z * n_z for start in range(0, n, BLOCK_PARENTS)
+                        for z, n_z, _ in self.atoms(bits, min(BLOCK_PARENTS, n - start))[1])
             self.check_budget(total, depth + 1, n_trials)
             sizes.append(total)
         return sizes
@@ -475,65 +465,79 @@ class _GWKernel:
             raise SimulationError(f"sampled nodes at depth {depth} of {n_trials} trials exceed the budget"
                                   f" of {self.cfg.node_budget:.3g} per trial")
 
-    def atoms(self, bits, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms (indices into zs) of the next n nodes of a depth's substream, and the nodes of each atom.
+    def atoms(self, bits, n: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+        """Atoms (indices into zs) of the next n nodes of a depth's substream, and their groups.
 
-        n is even unless no count follows.
+        The groups are (z, n_z, words) for each atom present, ascending: its n_z nodes, and
+        the ceil(n_z / 64) lane words that hold them.  n is even unless no count follows.
         """
         u, above, at_least = _draw_u32(bits, n), np.empty(n, dtype=bool), [n]
         atoms = np.zeros(n, dtype=np.min_scalar_type(len(self.qcut)))
         for cut in self.qcut:
             atoms += np.greater_equal(u, cut, out=above)
             at_least.append(int(np.count_nonzero(above)))
-        return atoms, -np.diff(at_least + [0])
+        return atoms, [(z, hi - lo, -(-(hi - lo) // 64))
+                       for z, hi, lo in zip(self.zs, at_least, at_least[1:] + [0]) if hi > lo]
 
-    def groups(self, atoms: np.ndarray):
-        """(z, positions) of each atom present in atoms, atoms ascending, positions in count order."""
-        for a, z in enumerate(self.zs.tolist()):
-            sel = np.flatnonzero(atoms == a)
-            if sel.size:
-                yield z, sel
+    def members(self, atoms: np.ndarray):
+        """Positions of the nodes of each atom present in atoms, atoms ascending, in count order."""
+        return (sel for sel in (np.flatnonzero(atoms == a) for a in range(len(self.zs))) if sel.size)
 
-    def keep_single_bit(self, m: np.ndarray) -> np.ndarray:
-        """'Exactly one surviving bit keeps its disease, else sane'.
+    def buffers(self, scratch: dict, n_words: int, groups) -> np.ndarray:
+        """The lane buffers of scratch, for n_words words of kids per plane and then the masks of the groups' roots."""
+        n_roots = sum(words for _, _, words in groups)
+        columns = max(n_words, -(-16 * self.dtype.itemsize * n_roots // (self.cfg.k + 1 + len(self.lanes.cuts))))
+        return _reuse(scratch, "buffers", columns, self.lanes.buffers)
 
-        m is an AND of masks, so it is a single bit, full or 0.
+    def combine_groups(self, kids: np.ndarray, atoms: np.ndarray, groups, coins, buffers) -> np.ndarray:
+        """Masks, in count order, of a block's or window's parents, whose child counts are zs[atoms].
+
+        kids holds k+1 bit-planes of one row of words: for each (z, n, words) of groups, atom
+        z's n parents, in count order, are lanes 0..n-1 of z child positions of `words` words,
+        and the groups lie end to end.  Each group combines on its own, in turn, with
+        coins(need) for the retention rule; the roots of all of them become masks in buffers,
+        which must hold 16 words per root word and byte of a mask, and return to count order.
         """
-        return m | (m == 0) * self.full
-
-    def combine(self, kids: np.ndarray, atoms: np.ndarray, variant) -> np.ndarray:
-        """Parents, in count order, of a window whose child counts are zs[atoms].
-
-        The parents of the smallest atom z, in count order, take the first z n_z kids, z
-        consecutive kids each; those of the next atom the z n_z after them, and so on.
-        variant draws the retention rule's uint32s, for the undecided parents in count order.
-        """
-        parents = np.empty(atoms.size, dtype=self.dtype)
-        tally = None if variant is None else np.empty(atoms.size, dtype=self.count_dtype)
-        start = 0
-        for z, sel in self.groups(atoms):
-            v = kids[start : start + z * sel.size].reshape(sel.size, z)
-            start += z * sel.size
-            parents[sel] = _fold(np.bitwise_and, [v[:, j] for j in range(z)])
-            if tally is not None:
-                infected = np.not_equal(v, self.full)
-                columns = [infected[:, j] for j in range(z)]
-                columns[0] = columns[0].astype(self.count_dtype)  # so the sum is held in count_dtype
-                tally[sel] = _fold(np.add, columns)
-        parents = self.keep_single_bit(parents)
-        if variant is None:
-            return parents
-        # only a lone surviving disease beside at least one sane child is left to chance
-        undecided = np.flatnonzero((parents != self.full) & (tally < self.zs.take(atoms)))
-        u = variant.integers(0, 1 << 32, size=undecided.size, dtype=np.uint32)
-        parents[undecided[u < self.stay_sane.take(tally[undecided])]] = self.full
+        roots, offset = [], 0
+        for z, n, words in groups:
+            group = kids[:, offset : offset + z * words].reshape(-1, z, words)
+            roots.append(self.lanes.combine(group, z, coins, _valid_words(n))[:, 0])
+            offset += z * words
+        masks = self.masks(np.concatenate(roots, axis=1), buffers)
+        parents, offset = np.empty(atoms.size, dtype=self.dtype), 0
+        for sel, (_, n, words) in zip(self.members(atoms), groups):
+            parents[sel] = masks[offset : offset + n]
+            offset += 64 * words
         return parents
+
+    def planes(self, kids: np.ndarray, groups, scratch: dict) -> np.ndarray:
+        """k+1 bit-planes of a window's kids, laid out for combine_groups, in the lane buffers of scratch.
+
+        kids are masks in count order: the parents of the smallest atom z, in count order, take
+        the first z n_z kids, z consecutive kids each; those of the next atom the next ones, and
+        so on.  Each group's kids are transposed into its lanes, zero-padded, and bit i of each
+        lane's mask becomes its bit in plane i: the inverse of masks.
+        """
+        n_words = sum(z * words for z, _, words in groups)
+        lanes = _reuse(scratch, "lanes", 64 * n_words, partial(np.empty, dtype=self.dtype))[: 64 * n_words]
+        taken = offset = 0
+        for z, n, words in groups:
+            rows = lanes[offset : offset + 64 * z * words].reshape(z, -1)
+            rows[:, :n] = kids[taken : taken + z * n].reshape(n, z).T
+            rows[:, n:] = 0
+            taken, offset = taken + z * n, offset + rows.size
+        flags = _reuse(scratch, "flags", lanes.size, partial(np.empty, dtype=bool))[: lanes.size]
+        planes = self.buffers(scratch, n_words, groups)[: self.cfg.k + 1, :n_words]
+        for i, plane in enumerate(planes):
+            np.bitwise_and(lanes, 1 << i, out=flags, casting="unsafe")
+            plane[...] = np.packbits(flags, bitorder="little").view("<u8")
+        return planes
 
     def masks(self, planes: np.ndarray, buffers: np.ndarray) -> np.ndarray:
         """Masks of the lanes of planes (k+1 rows of words): bit i of a lane's mask is its bit in plane i.
 
         The masks are written to the lane buffers, which must hold 16 words per word of planes
-        and byte of a mask.
+        and byte of a mask, and so must not hold planes.
         """
         size, n = self.dtype.itemsize, 8 * planes.shape[1]
         out, tmp = buffers.reshape(-1)[: 2 * n * size].reshape(2, n, size)
@@ -543,61 +547,39 @@ class _GWKernel:
             out |= np.take(self.spread[i], lane_bytes[i], axis=0, out=tmp)
         return out.reshape(-1).view(self.dtype.newbyteorder("<"))
 
-    def bottom_level(self, chunk_index: int, n_parents: int, n_trials: int):
+    def bottom_level(self, chunk_index: int, n_parents: int, n_trials: int, scratch: dict):
         """Masks of the chunk's depth-(height-1) nodes in count order, BLOCK_PARENTS at a time.
 
-        Each block's parents are grouped by atom: atom z's n_z parents are the lanes of z leaf
-        positions of ceil(n_z / 64) words.  The groups' words, atom ascending, are one row of
-        leaves drawn at once, each word with its group's valid lanes; each group is combined
-        on its own, and the roots of all of them become masks at once.  One set of lane
-        buffers, which also takes the masks, serves the whole chunk; it grows to the largest
-        block.  The leaves counted so far are checked against the node budget block by block.
+        A block's groups are the lanes of its leaf positions, whose words are one row of leaves
+        drawn at once, each word with its group's valid lanes; combine_groups does the rest.
+        The leaves counted so far are checked against the node budget block by block.
         """
         cfg, lanes, height = self.cfg, self.lanes, self.cfg.height
         count_bits = _bits(cfg.seed, chunk_index, height - 1, _COUNTS)
         leaf_draw = _plane_draws(cfg.seed, chunk_index, height, _LEAVES)
         refine = _refine_draws(cfg.seed, chunk_index, height)
-        coins = None
-        if lanes.q is not None:
-            coins = partial(lanes.coins, _plane_draws(cfg.seed, chunk_index, height - 1, _COINS))
-        buffers, n_leaves = lanes.buffers(0), 0
+        coins, n_leaves = lanes.coin_draws(chunk_index, height - 1), 0
         for start in range(0, n_parents, BLOCK_PARENTS):
-            atoms, per_atom = self.atoms(count_bits, min(BLOCK_PARENTS, n_parents - start))
-            n_leaves += int(per_atom @ self.zs)
+            atoms, groups = self.atoms(count_bits, min(BLOCK_PARENTS, n_parents - start))
+            n_leaves += sum(z * n for z, n, _ in groups)
             self.check_budget(n_leaves, height, n_trials)
-            groups = [(z, n, -(-n // 64)) for z, n in zip(self.zs.tolist(), per_atom.tolist()) if n]
             valid = np.concatenate([np.tile(_valid_words(n), z) for z, n, _ in groups])
-            n_roots = sum(words for _, _, words in groups)
-            # the buffers hold the leaf words, and afterwards 16 words per root word and byte of a mask
-            most = max(valid.size, -(-16 * self.dtype.itemsize * n_roots // len(buffers)))
-            if buffers.shape[1] < most:  # with an eighth to spare: the blocks vary a little
-                buffers = lanes.buffers(most * 9 // 8)
+            buffers = self.buffers(scratch, valid.size, groups)
             leaves = lanes.leaves(leaf_draw, refine, 1, valid, buffers)[:, 0]
-            roots, offset = [], 0
-            for z, _, words in groups:
-                kids = leaves[:, offset : offset + z * words].reshape(-1, z, words)
-                roots.append(lanes.combine(kids, z, coins, valid[offset : offset + words])[:, 0])
-                offset += z * words
-            masks = self.masks(np.concatenate(roots, axis=1), buffers)
-            parents, offset = np.empty(atoms.size, dtype=self.dtype), 0
-            for (_, sel), (_, n, words) in zip(self.groups(atoms), groups):
-                parents[sel] = masks[offset : offset + n]
-                offset += 64 * words
-            yield parents
+            yield self.combine_groups(leaves, atoms, groups, coins, buffers)
 
-    def upper_level(self, chunk_index: int, depth: int, n_parents: int, below):
+    def upper_level(self, chunk_index: int, depth: int, n_parents: int, below, scratch: dict):
         """Masks of the chunk's depth-`depth` nodes in count order, from those one level below.
 
         Windows of WINDOW_PARENTS parents in count order take their children from below, a
-        sequence of arrays in count order, and each window combines as combine says.
+        sequence of arrays in count order, as planes says; combine_groups does the rest.
         """
-        cfg = self.cfg
-        count_bits = _bits(cfg.seed, chunk_index, depth, _COUNTS)
-        variant = None if cfg.alpha is None else np.random.Generator(_bits(cfg.seed, chunk_index, depth, _VARIANT))
-        kids = _Taker(below)
+        count_bits = _bits(self.cfg.seed, chunk_index, depth, _COUNTS)
+        coins, kids = self.lanes.coin_draws(chunk_index, depth), _Taker(below)
         for start in range(0, n_parents, WINDOW_PARENTS):
-            atoms, per_atom = self.atoms(count_bits, min(WINDOW_PARENTS, n_parents - start))
-            yield self.combine(kids.take(int(per_atom @ self.zs), self.dtype), atoms, variant)
+            atoms, groups = self.atoms(count_bits, min(WINDOW_PARENTS, n_parents - start))
+            planes = self.planes(kids.take(sum(z * n for z, n, _ in groups), self.dtype), groups, scratch)
+            yield self.combine_groups(planes, atoms, groups, coins, scratch["buffers"])
 
     def chunk(self, chunk_index: int, n_trials: int) -> np.ndarray:
         """Root-state counts (k diseases then sane) for one chunk of trials.
@@ -608,9 +590,10 @@ class _GWKernel:
         """
         cfg, height = self.cfg, self.cfg.height
         sizes = self.level_sizes(chunk_index, n_trials)
-        nodes = self.bottom_level(chunk_index, sizes[height - 1], n_trials)
+        scratch = {}  # arrays every level reuses: the levels run one block or window at a time
+        nodes = self.bottom_level(chunk_index, sizes[height - 1], n_trials, scratch)
         for depth in range(height - 2, -1, -1):
-            nodes = self.upper_level(chunk_index, depth, sizes[depth], nodes)
+            nodes = self.upper_level(chunk_index, depth, sizes[depth], nodes, scratch)
         roots = np.concatenate(list(nodes))
         infected = [int((roots == 1 << i).sum()) for i in range(cfg.k)]
         return np.array(infected + [n_trials - sum(infected)], dtype=np.int64)
@@ -634,6 +617,13 @@ class _Taker:
         return out
 
 
+def _reuse(scratch: dict, name: str, n: int, make) -> np.ndarray:
+    """scratch[name] if its last axis holds n, else make(n) with an eighth to spare, kept there."""
+    if name not in scratch or scratch[name].shape[-1] < n:
+        scratch[name] = make(n * 9 // 8)
+    return scratch[name]
+
+
 def _draw_u32(bits, n: int) -> np.ndarray:
     """The next n uint32s of an SFC64 stream, as Generator.integers(0, 2**32, n, dtype=np.uint32) gives them.
 
@@ -648,12 +638,13 @@ def simulate_root(cfg: SimConfig, max_workers: int | None = None) -> SimResult:
 
     Refuses configs whose expected node count per trial (mean^height) exceeds
     cfg.node_budget.  TREESPREAD_THREADS (or max_workers) caps chunk-level
-    parallelism; results are identical regardless of worker count.
+    parallelism, with at most four chunks per worker in flight; results are
+    identical regardless of worker count.
     """
-    expected_nodes = cfg.dist.mean ** cfg.height
-    if expected_nodes > cfg.node_budget:
+    log_nodes = cfg.height * math.log(cfg.dist.mean)  # mean^height overflows a float on tall trees
+    if log_nodes > math.log(cfg.node_budget):
         raise SimulationError(
-            f"expected ~{expected_nodes:.3g} nodes per trial exceeds budget {cfg.node_budget:.3g}"
+            f"expected ~10^{log_nodes / math.log(10):.3g} nodes per trial exceeds budget {cfg.node_budget:.3g}"
         )
     if max_workers is None:
         raw = os.environ.get("TREESPREAD_THREADS", "0")
@@ -665,13 +656,19 @@ def simulate_root(cfg: SimConfig, max_workers: int | None = None) -> SimResult:
 
     # every trial of a z-ary tree has the same shape, so z-ary chunks run 64 trials per word
     kernel = _LaneKernel(cfg) if cfg.dist.is_deterministic else _GWKernel(cfg)
-    n_chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
-    sizes = [min(CHUNK_TRIALS, cfg.trials - c * CHUNK_TRIALS) for c in range(n_chunks)]
-    if max_workers == 1 or n_chunks == 1:
-        counts = sum(kernel.chunk(c, n) for c, n in enumerate(sizes))
+    chunks = enumerate(min(CHUNK_TRIALS, cfg.trials - start) for start in range(0, cfg.trials, CHUNK_TRIALS))
+    if max_workers == 1 or cfg.trials <= CHUNK_TRIALS:
+        counts = sum(kernel.chunk(c, n) for c, n in chunks)
     else:
+        # a few chunks per worker in flight, so memory does not grow with the chunk count; an
+        # integer sum does not depend on the order in which the chunks are added
+        counts, in_flight = 0, deque()
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            counts = sum(pool.map(lambda cn: kernel.chunk(*cn), enumerate(sizes)))
+            for c, n in chunks:
+                if len(in_flight) == 4 * max_workers:
+                    counts += in_flight.popleft().result()
+                in_flight.append(pool.submit(kernel.chunk, c, n))
+            counts += sum(future.result() for future in in_flight)
 
     p_hat = counts / cfg.trials
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / cfg.trials)

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
 from treespread import SimConfig, SimResult, SimulationError, make_offspring, simulate_root
-from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main, parse_profile
+from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, MAX_STARTS, main, parse_profile
 from treespread.mc_sim import _GWKernel
 
 
@@ -256,6 +257,29 @@ class TestBadInput:
         assert code == EXIT_CONFIG
         assert "error:" in err and "Traceback" not in err
         assert out == ""
+
+    def test_tall_tree_over_budget_exits_config(self, capsys):
+        # 2^2000 nodes per trial overflows a float; the budget check must still refuse it
+        code, out, err = run(
+            capsys,
+            "simulate", "--offspring", "zary:2", "--k", "2", "--profile", "uniform:2",
+            "--height", "2000", "--trials", "1", "--seed", "1",
+        )
+        assert code == EXIT_CONFIG
+        assert "error:" in err and "budget" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_too_many_basin_starts_exit_config(self, capsys):
+        # 10^11 starts would take about 745 GiB; they are refused before anything is allocated
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "basin", "--offspring", "zary:6", "--k", "2", "--starts", "100000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert "error:" in err and str(MAX_STARTS) in err and "Traceback" not in err
+        assert out == "" and peak < 2**20
 
     def test_realised_tree_over_budget_exits_config(self, capsys):
         # expected 6.8^3 = 314 nodes per trial passes the budget of 400; the first seed

@@ -244,7 +244,7 @@ class TestSimulate:
 # --- stream identity: the blocked kernel against a whole-chunk reference ------------
 
 
-_LEAVES_ROLE, _COUNTS_ROLE, _VARIANT_ROLE, _REFINE_ROLE, _COINS_ROLE = range(5)
+_LEAVES_ROLE, _COUNTS_ROLE, _REFINE_ROLE, _COINS_ROLE = 0, 1, 3, 4
 
 
 def _words(cfg: SimConfig, n: int, *key: int) -> np.ndarray:
@@ -417,81 +417,62 @@ def _reference_coin_bits(cfg, chunk_index, depth, q, w, b) -> np.ndarray:
 def _reference_gw(cfg: SimConfig, chunk_index: int, n_trials: int) -> np.ndarray:
     """Root-state counts of one Galton-Watson chunk, each substream drawn whole.
 
-    Each depth's child counts come from _reference_levels.  The depth-(height-1) parents are
-    taken BLOCK_PARENTS at a time in count order, and a stable sort by child count lists a
-    block's parents atom by atom.  Atom z's n parents are lanes 0..n-1 of z leaf positions of
-    ceil(n / 64) words each, and the words of the (block, atom) groups follow each other.
-    Leaf uniforms come from _reference_uniforms and coins from _reference_coin_bits, at depth
-    height-1.  Above that depth, a stable sort of each window of WINDOW_PARENTS parents by
-    child count gives the order in which its parents take the window's children, z
-    consecutive children each.  The retention rule draws one uint32 per undecided parent of
-    a level, in count order, from substream (depth, VARIANT).
+    Each depth's child counts come from _reference_levels.  At every depth the parents are
+    taken in count order, BLOCK_PARENTS at a time at depth height-1 and WINDOW_PARENTS at a
+    time above it, and a stable sort by child count lists a block's parents atom by atom.
+    Atom z's n parents are lanes 0..n-1 of z child positions of ceil(n / 64) words each, and
+    the words of a depth's (block, atom) groups follow each other.  The leaves' uniforms come
+    from _reference_uniforms.  Above the leaves, the parents, in that atom-by-atom order, take
+    the level below in count order, z consecutive nodes each.  Coins come from
+    _reference_coin_bits at every depth.
     """
-    k, alpha, height = cfg.k, cfg.alpha, cfg.height
+    k, height = cfg.k, cfg.height
     mask_table, full, is_single_bit, keep_single_bit = _masks(k)
-    counts_per_level = _reference_levels(cfg, chunk_index, n_trials)
-
-    bottom = counts_per_level[-1]
-    groups, word, lane, n_words = [], [], [], 0  # groups: (parents, z), their leaves position-major
-    for start in range(0, bottom.size, mc_sim.BLOCK_PARENTS):
-        order = start + np.argsort(bottom[start : start + mc_sim.BLOCK_PARENTS], kind="stable")
-        for z in np.unique(bottom[order]):
-            members = order[bottom[order] == z]
-            n, words = members.size, -(-members.size // 64)
-            groups.append((members, int(z)))
-            for p in range(z):
-                word.append(n_words + p * words + np.arange(n) // 64)
-                lane.append(np.arange(n) % 64)
-            n_words += z * words
-    word, lane = np.concatenate(word), np.concatenate(lane)
-    u = _reference_uniforms(cfg, chunk_index, word, lane, n_words)
-    leaves = mask_table[np.searchsorted(_leaf_cuts(cfg), u, side="right")]
-
-    def by_group(values):  # each group's (z, n) block of a per-leaf array, with its parents
-        offset = 0
-        for members, z in groups:
-            yield members, values[offset : offset + z * members.size].reshape(z, -1)
-            offset += z * members.size
-
-    m = np.empty(bottom.size, dtype=full.dtype)
-    has_sane = np.empty(bottom.size, dtype=bool)
-    for members, kids in by_group(leaves):
-        m[members] = np.bitwise_and.reduce(kids, axis=0)
-        has_sane[members] = (kids == full).any(axis=0)
-    level = keep_single_bit(m)
     q = _coin_threshold(cfg)
-    if q:
-        undecided = is_single_bit(m) & has_sane
-        need = np.concatenate([np.tile(undecided[members], z) for members, z in groups])
-        need &= leaves != full
-        coins = np.zeros(leaves.size, dtype=bool)
-        coins[need] = _reference_coin_bits(cfg, chunk_index, height - 1, q, word[need], lane[need])
-        for (members, kids), (_, needed) in zip(by_group(coins), by_group(need)):
-            stays = (kids | ~needed).all(axis=0)
-            level[members[undecided[members] & stays]] = full
+    level = None
+    for depth, counts in reversed(list(enumerate(_reference_levels(cfg, chunk_index, n_trials)))):
+        size = mc_sim.BLOCK_PARENTS if depth == height - 1 else mc_sim.WINDOW_PARENTS
+        groups, word, lane, n_words = [], [], [], 0  # groups: (parents, z), their children position-major
+        for start in range(0, counts.size, size):
+            order = start + np.argsort(counts[start : start + size], kind="stable")
+            for z in np.unique(counts[order]):
+                members = order[counts[order] == z]
+                n, words = members.size, -(-members.size // 64)
+                groups.append((members, int(z)))
+                for p in range(z):
+                    word.append(n_words + p * words + np.arange(n) // 64)
+                    lane.append(np.arange(n) % 64)
+                n_words += z * words
+        word, lane = np.concatenate(word), np.concatenate(lane)
+        if level is None:
+            u = _reference_uniforms(cfg, chunk_index, word, lane, n_words)
+            kids = mask_table[np.searchsorted(_leaf_cuts(cfg), u, side="right")]
+        else:
+            ends = np.cumsum([z * members.size for members, z in groups])
+            kids = np.concatenate([level[end - z * members.size : end].reshape(-1, z).T.ravel()
+                                   for (members, z), end in zip(groups, ends)])
 
-    if alpha is not None:
-        max_z = max(z for z, _ in cfg.dist.support)
-        stay_sane = np.rint((1.0 - alpha) ** np.arange(max_z + 1).astype(float) * 2.0**32).astype(np.uint64)
-    for depth in reversed(range(height - 1)):
-        counts = counts_per_level[depth]
+        def by_group(values):  # each group's (z, n) block of a per-child array, with its parents
+            offset = 0
+            for members, z in groups:
+                yield members, values[offset : offset + z * members.size].reshape(z, -1)
+                offset += z * members.size
+
         m = np.empty(counts.size, dtype=full.dtype)
-        n_infected = np.empty(counts.size, dtype=np.int64)
-        used = 0
-        for start in range(0, counts.size, mc_sim.WINDOW_PARENTS):
-            window = counts[start : start + mc_sim.WINDOW_PARENTS]
-            order = np.argsort(window, kind="stable")
-            kids = level[used : used + window.sum()]
-            offsets = np.concatenate(([0], np.cumsum(window[order])[:-1]))
-            m[start + order] = np.bitwise_and.reduceat(kids, offsets)
-            n_infected[start + order] = np.add.reduceat((kids != full).astype(np.int64), offsets)
-            used += window.sum()
-        parents = keep_single_bit(m)
-        if alpha is not None:
-            undecided = np.flatnonzero(is_single_bit(m) & (n_infected < counts))
-            u = _uint32s(cfg, chunk_index, depth, _VARIANT_ROLE, undecided.size)
-            parents[undecided[u < stay_sane[n_infected[undecided]]]] = full
-        level = parents
+        has_sane = np.empty(counts.size, dtype=bool)
+        for members, block in by_group(kids):
+            m[members] = np.bitwise_and.reduce(block, axis=0)
+            has_sane[members] = (block == full).any(axis=0)
+        level = keep_single_bit(m)
+        if q:
+            undecided = is_single_bit(m) & has_sane
+            need = np.concatenate([np.tile(undecided[members], z) for members, z in groups])
+            need &= kids != full
+            coins = np.zeros(kids.size, dtype=bool)
+            coins[need] = _reference_coin_bits(cfg, chunk_index, depth, q, word[need], lane[need])
+            for (members, block), (_, needed) in zip(by_group(coins), by_group(need)):
+                stays = (block | ~needed).all(axis=0)
+                level[members[undecided[members] & stays]] = full
     return np.array([(level == mask).sum() for mask in mask_table])
 
 
@@ -576,14 +557,13 @@ def test_stream_identity_irregular_alpha(tree, alpha):
     ids=["k2", "k7_a03", "k1_a0005"],
 )
 def test_stream_identity_wide_atom(profile, alpha):
-    """An atom above 255 needs 16-bit child counts and infected tallies.
+    """An atom above 255: a group of 300-child parents ANDs 300 child positions.
 
-    With one disease at 0.9 a 300-child node has about 270 infected children, and
-    (1-0.005)^270 is far from the (1-0.005)^14 that an 8-bit tally would give.
+    With one disease at 0.9 a 300-child node has about 270 infected children, each of which
+    flips a coin, so at alpha = 0.005 the parent stays sane with probability (1-0.005)^270.
     """
     law = make_offspring([(2, 0.99), (300, 0.01)])
     cfg = SimConfig(law, profile, height=2, trials=4097, alpha=alpha, seed=3)
-    assert _GWKernel(cfg).count_dtype == np.uint16
     _assert_same_stream(cfg)
 
 
@@ -681,25 +661,98 @@ def _state(index: int, k: int) -> int:
 def test_level_combine_exhaustive(z, k):
     """Every child tuple of atom z, in a window that interleaves atoms 2, 3 and 4, combines as combine_children says.
 
-    The parents come in a shuffled count order, and the kids are laid out as _GWKernel.combine
-    documents: the parents of atom 2, in count order, take the first kids, two consecutive kids
-    each, then those of atom 3 the next ones, then those of atom 4.
+    The parents come in a shuffled count order, and the kids are laid out as
+    _GWKernel.combine_groups documents: atom 2's parents, in count order, are the lanes of its
+    two child positions, then come atom 3's, then atom 4's, each group padded to whole words.
     """
-    law = make_offspring([(2, 0.4), (3, 0.3), (4, 0.3)])
-    kernel = _GWKernel(SimConfig(law, _profile("uniform", k), height=1, trials=1))
-    mask_table = _masks(k)[0]
     rng = np.random.default_rng(10 * z + k)
     tuples = [tuple(t) for t in _child_tuples(z, k)]
     for other in {2, 3, 4} - {z}:  # as many parents of each other atom, with random children
         tuples += [tuple(t) for t in rng.integers(0, k + 1, size=(len(tuples) // 2, other))]
     parents = [tuples[i] for i in rng.permutation(len(tuples))]  # count order
-    atoms = np.array([len(t) - 2 for t in parents], dtype=np.uint8)
-    kids = np.concatenate([mask_table[list(t)] for a in (2, 3, 4) for t in parents if len(t) == a])
-    got = kernel.combine(kids, atoms, None)
+    kernel, atoms, groups, kids = _window(parents, k, rng)
+    got = kernel.combine_groups(kids, atoms, groups, None, kernel.buffers({}, kids.shape[1], groups))
     states = [combine_children([_state(i, k) for i in t]) for t in parents]
-    want = mask_table[[k if s == SANE else s - 1 for s in states]]
+    want = _masks(k)[0][[k if s == SANE else s - 1 for s in states]]
     assert got.dtype == want.dtype == (np.uint16 if k == 8 else np.uint8)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("z,k", [(z, k) for z in (2, 3, 4) for k in (1, 2, 3)])
+def test_level_combine_variant_with_injected_coins(z, k):
+    """Every child tuple of atom z under every coin pattern, in a window with atoms 2, 3 and 4.
+
+    The parent stays sane when each infected child's coin is set, and no padding lane asks
+    for a coin.
+    """
+    rng = np.random.default_rng(100 * z + k)
+    coin_sets = list(itertools.product((False, True), repeat=z))
+    cases = [(t, c) for t in map(tuple, _child_tuples(z, k)) for c in coin_sets]
+    for other in {2, 3, 4} - {z}:
+        cases += [(tuple(t), tuple(c)) for t, c in zip(rng.integers(0, k + 1, size=(len(cases) // 4, other)),
+                                                        rng.integers(0, 2, size=(len(cases) // 4, other)) == 1)]
+    cases = [cases[i] for i in rng.permutation(len(cases))]  # count order
+    parents = [t for t, _ in cases]
+    kernel, atoms, groups, kids = _window(parents, k, rng, alpha=0.5)
+    patterns = {}
+    for a, n, words in groups:  # each group's coins, lanes of its child positions
+        coins = np.zeros((a, 64 * words), dtype=bool)
+        coins[:, :n] = np.array([c for t, c in cases if len(t) == a]).T
+        patterns[a] = (n, _pack(coins))
+
+    def inject(need):
+        n, pattern = patterns[need.shape[1]]
+        assert not _unpack(need)[..., n:].any()
+        return need & pattern
+
+    got = kernel.combine_groups(kids, atoms, groups, inject, kernel.buffers({}, kids.shape[1], groups))
+    want = []
+    for t, c in cases:
+        states = [_state(i, k) for i in t]
+        stay = all(coin for s, coin in zip(states, c) if s != SANE)
+        want.append(combine_children(states, alpha=0.5, rng=_StubRng(stay)))
+    assert np.array_equal(got, _masks(k)[0][[k if s == SANE else s - 1 for s in want]])
+
+
+def _window(parents, k: int, rng, alpha=None):
+    """A GW kernel with atoms 2, 3 and 4, and the atoms, groups and kids of one window.
+
+    parents lists each parent's child state indices, in count order.  Atom z's n parents are
+    lanes 0..n-1 of z child positions of ceil(n / 64) words, and the padding lanes hold random
+    states.
+    """
+    law = make_offspring([(2, 0.4), (3, 0.3), (4, 0.3)])
+    kernel = _GWKernel(SimConfig(law, _profile("uniform", k), height=1, trials=1, alpha=alpha))
+    atoms = np.array([len(t) - 2 for t in parents], dtype=np.uint8)
+    groups, planes = [], []
+    for z in (2, 3, 4):
+        kids = np.array([t for t in parents if len(t) == z], dtype=np.uint8).T
+        n, words = kids.shape[1], -(-kids.shape[1] // 64)
+        states = rng.integers(0, k + 1, size=(z, 64 * words))
+        states[:, :n] = kids
+        groups.append((z, n, words))
+        planes.append(_pack_states(states, k).reshape(k + 1, -1))
+    return kernel, atoms, groups, np.concatenate(planes, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+@pytest.mark.parametrize("k", [2, 8])
+def test_planes_masks_round_trip(k, n):
+    """Masks of n lanes turn into k+1 bit-planes, zero-padded to whole words, and back unchanged.
+
+    The scratch arrays come from a larger window of all-ones masks, so stale lanes would show.
+    """
+    kernel = _GWKernel(SimConfig(FIG_FE, _profile("uniform", k), height=1, trials=1))
+    assert kernel.dtype == (np.uint16 if k == 8 else np.uint8)
+    words, scratch = -(-n // 64), {}
+    kernel.planes(np.full(256, (1 << (k + 1)) - 1, dtype=kernel.dtype), [(2, 128, 2)], scratch)
+    masks = np.random.default_rng(n).integers(0, 1 << (k + 1), size=n).astype(kernel.dtype)
+    planes = kernel.planes(masks, [(1, n, words)], scratch)
+    assert planes.shape == (k + 1, words)
+    bits = _unpack(planes)
+    assert np.array_equal(bits[:, :n], [(masks >> i & 1).astype(bool) for i in range(k + 1)])
+    assert not bits[:, n:].any()
+    assert np.array_equal(kernel.masks(planes.copy(), scratch["buffers"])[:n], masks)  # masks overwrites the buffers
 
 
 # --- lane kernel oracles: chosen inputs packed into 64-trial words ---------------------
@@ -904,3 +957,22 @@ def test_gw_and_variant_chunk_memory_is_bounded(dist, profile, height, alpha, tr
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_chunks_in_flight_are_bounded(monkeypatch):
+    """With two workers simulate_root keeps a few chunks in flight, so its peak does not grow with the chunk count.
+
+    Handing every chunk to the pool at once took about 2 KB per chunk.
+    """
+    monkeypatch.setattr(mc_sim, "CHUNK_TRIALS", 1)
+    peaks, results = [], []
+    for trials in (250, 2000):
+        cfg = SimConfig(zary(2), (0.5, 0.5), height=1, trials=trials, seed=1)
+        tracemalloc.start()
+        try:
+            results.append(simulate_root(cfg, max_workers=2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert results[-1] == simulate_root(cfg, max_workers=1)
+    assert peaks[1] < peaks[0] + 2**18, f"peaks {peaks}"
