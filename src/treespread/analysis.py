@@ -178,13 +178,13 @@ def critical_points(z: int, k: int) -> CriticalPointReport:
     """Closed-form maximum x_hat and (for z >= 3) inflection point x_star of f_{z,k}."""
     if z < 2 or k < 1:
         raise DynamicsError(f"need z >= 2 and k >= 1, got ({z}, {k})")
+    spec = zary_map(z, k)  # checks k before the closed forms divide by powers of k less those of k-1
     e1 = 1.0 / (z - 1)
     x_hat = (k**e1 - (k - 1) ** e1) / (k ** (z * e1) - (k - 1) ** (z * e1))
     x_star = None
     if z >= 3:
         e2 = 2.0 / (z - 2)
         x_star = (k**e2 - (k - 1) ** e2) / (k ** (z * e2 / 2) - (k - 1) ** (z * e2 / 2))
-    spec = zary_map(z, k)
     return CriticalPointReport(x_hat=x_hat, f_at_x_hat=scalar_eval(spec, x_hat), x_star=x_star)
 
 
@@ -216,10 +216,14 @@ def nonuniform_spectrum(z: int, k: int, i: int) -> list[float]:
 
 
 def _x_hat_right(spec: ScalarMapSpec, x_hat: float) -> float:
-    """sup{x : f(x) = x_hat}; equals 1/k when f(1/k) >= x_hat."""
+    """sup{x : f(x) = x_hat}; equals 1/k when f(1/k) >= x_hat, and x_hat when f(x_hat) <= x_hat."""
     hi = 1.0 / spec.k
     if scalar_eval(spec, hi) >= x_hat:
         return hi
+    # z = 2: the maximum is the fixed point, f(x_hat) = x_hat up to rounding, so no x right of it
+    # maps to x_hat and f(x) - x_hat has no sign change to bisect
+    if scalar_eval(spec, x_hat) <= x_hat:
+        return x_hat
     # f is decreasing right of x_hat, so f(x) - x_hat changes sign once there
     return float(_bisect(lambda x: scalar_eval(spec, x) - x_hat, x_hat, hi))
 

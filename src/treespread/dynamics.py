@@ -25,6 +25,9 @@ from .offspring import PROB_TOL, OffspringDistribution, pgf, pgf_deriv
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
+# the most diseases any entry point accepts: a profile holds k+1 masses, and from about 10^16 on
+# the closed forms cannot tell k from k-1 in double precision
+MAX_K = 10**6
 
 
 class DynamicsError(ValueError):
@@ -87,19 +90,24 @@ def make_profile(masses, strict: bool = True) -> DiseaseProfile:
 
 def uniform_profile(k: int) -> DiseaseProfile:
     """All k+1 coordinates equal."""
-    if k < 1:
-        raise DynamicsError(f"need k >= 1 diseases, got {k}")
+    _check_k(k)
     return make_profile([1.0 / (k + 1)] * (k + 1))
 
 
 def dominant_profile(k: int, i: int) -> DiseaseProfile:
     """Profile with i strictly dominant diseases, k-i smaller ones, sane mass 0.2."""
+    _check_k(k)
     if not 1 <= i <= k:
         raise DynamicsError(f"dominant count {i} outside [1, {k}]")
     lead = 0.8 / (i + 0.5 * (k - i))
     masses = [lead] * i + [lead / 2] * (k - i) + [0.2]
     masses[-1] = 1.0 - sum(masses[:-1])
     return make_profile(masses)
+
+
+def _check_k(k: int) -> None:
+    if not 1 <= k <= MAX_K:
+        raise DynamicsError(f"need 1 <= k <= {MAX_K} diseases, got {k}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -116,8 +124,7 @@ class ScalarMapSpec:
     variant_alpha: float | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DynamicsError(f"need k >= 1, got {self.k}")
+        _check_k(self.k)
         if self.variant_alpha is not None:
             _check_alpha(self.variant_alpha)
 

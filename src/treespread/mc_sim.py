@@ -60,12 +60,15 @@ for the level above.
 
 A config and seed give the same output at any worker count, and the same as
 drawing every substream whole at once.  A chunk streams its nodes up the tree
-and stores no level whole.  A z-ary chunk draws its leaves in cache-sized
-blocks of whole subtrees, and every depth keeps a carry of the children whose
-parent is not complete yet.  A GW chunk draws the counts of each depth above the
-leaf parents twice: a top-down pass keeps only the level sizes, and the
-bottom-up pass re-draws them a window at a time, as the levels below produce
-the children.  The leaf parents' counts are drawn once, a block at a time on
+and stores no level whole.  A z-ary chunk draws its leaves in blocks of whole
+subtrees, sized in words per bit-plane (LANE_PLANE_WORDS) so that its numpy
+calls stay long as k grows, and with its bytes capped for large k
+(LANE_BUFFER_WORDS).  Every level of a block is written into the free rows of
+the block buffers, a workspace that each worker's chunks refill in turn, and
+every depth keeps a carry (a copy) of the children whose parent is not complete
+yet.  A GW chunk draws the counts of each depth above the leaf parents twice: a
+top-down pass keeps only the level sizes, and the bottom-up pass re-draws them a
+window at a time, as the levels below produce the children.  The leaf parents' counts are drawn once, a block at a time on
 the way up, and the leaves counted so far are checked against the node budget
 before each block's leaves are drawn.
 """
@@ -74,6 +77,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -92,7 +96,12 @@ CHUNK_TRIALS = 4096
 BLOCK_PARENTS = 1 << 17
 WINDOW_PARENTS = 1 << 15
 LANE_EAGER_BITS = 12  # leaf bit-planes every lane word draws; a word with a tie draws the other 20
-LANE_BLOCK_WORDS = 1 << 17  # words across the k+1 bit-planes of a lane leaf block
+# words per bit-plane of a z-ary leaf block: with fewer, the numpy calls on a plane are so short
+# that two worker threads lose more to handing over the interpreter lock than they gain.  Blocks for
+# k <= 2 hold 4 LANE_PLANE_WORDS across their k+1 planes instead, and no block's buffer rows (its
+# planes, then one per cut) hold more than LANE_BUFFER_WORDS, those of k = 8 with eight cuts
+LANE_PLANE_WORDS = 1 << 15
+LANE_BUFFER_WORDS = 17 << 15
 LANE_MIN_WORDS = 1 << 12  # a lane level of fewer words waits for the next block
 DEFAULT_NODE_BUDGET = 1e8
 _U32 = float(1 << 32)
@@ -205,15 +214,27 @@ class _LaneKernel:
         self.q = q or None
 
     def block_positions(self, words: int, z: int) -> int:
-        """Leaf positions per z-ary block: whole subtrees of the lowest levels, about LANE_BLOCK_WORDS words."""
-        per_block, span = max(1, LANE_BLOCK_WORDS // ((self.k + 1) * words)), 1
+        """Leaf positions per z-ary block: whole subtrees of the lowest levels.
+
+        A plane of a block holds LANE_PLANE_WORDS words, or 4 LANE_PLANE_WORDS / (k+1) if that
+        is more, as long as the block's rows of buffers hold no more than LANE_BUFFER_WORDS.
+        """
+        plane_words = max(LANE_PLANE_WORDS, 4 * LANE_PLANE_WORDS // (self.k + 1))
+        plane_words = min(plane_words, LANE_BUFFER_WORDS // (self.k + 1 + len(self.cuts)))
+        per_block, span = max(1, plane_words // words), 1
         while span * z <= per_block and span < z**self.cfg.height:
             span *= z
         return per_block // span * span
 
     def buffers(self, n: int) -> np.ndarray:
-        """A chunk's rows for leaf blocks of up to n words: the k+1 bit-planes, then ge."""
+        """Rows for leaf blocks of up to n words: the k+1 bit-planes, then ge."""
         return np.empty((self.k + 1 + len(self.cuts), n), dtype=np.uint64)
+
+    def workspace(self, trial_counts) -> np.ndarray:
+        """The block buffers of chunks of any of trial_counts trials."""
+        z = self.cfg.dist.z_value
+        return self.buffers(max(min(self.block_positions(words, z), z**self.cfg.height) * words
+                                for words in {-(-n // 64) for n in trial_counts}))
 
     def leaves(self, draw, refine, n_pos: int, valid: np.ndarray, buffers) -> np.ndarray:
         """Bit-planes of the next n_pos leaf positions, shape (k+1, n_pos, words), in buffers.
@@ -221,9 +242,10 @@ class _LaneKernel:
         Each lane compares its uniform with every cut, most significant bit first: und
         holds the lanes whose bits so far equal the cut's, ge those already above it.
         draw(t, n) gives the next n words of bit-plane t; refine(idx) the planes
-        LANE_EAGER_BITS..31 (one row each) of the words at idx, those in which a lane still
+        LANE_EAGER_BITS..31 (one column each) of the words at idx, those in which a lane still
         ties with a cut after the eager planes.  valid marks the lanes that count in each of a
-        position's words; only those ask for refine words.
+        position's words; only those ask for refine words.  The rows of buffers past the planes
+        are free once this returns.
         """
         words = valid.size
         n = n_pos * words
@@ -235,13 +257,15 @@ class _LaneKernel:
             for j, (c, n_planes) in enumerate(self.cuts):
                 if t < n_planes:
                     _compare_bit(c >> (31 - t) & 1, r, und[j], ge[j], tmp)
+            del r  # before the refine draw
         for j, (_, n_planes) in enumerate(self.cuts):
             if n_planes <= LANE_EAGER_BITS:
                 ge[j] |= und[j]  # still tied after the cut's last set bit: at or above it
         deep = self.deep
         if deep:
-            ties = und[deep[0]] if len(deep) == 1 else _fold(np.bitwise_or, [und[j] for j in deep])
-            idx = np.flatnonzero(ties.reshape(n_pos, words) & valid)
+            ties = und[deep[0]] if len(deep) == 1 else _fold(np.bitwise_or, [und[j] for j in deep], out=tmp)
+            np.bitwise_and(ties.reshape(n_pos, words), valid, out=tmp.reshape(n_pos, words))
+            idx = np.flatnonzero(tmp)
             if idx.size:
                 low = refine(idx)
                 for j in deep:
@@ -250,28 +274,39 @@ class _LaneKernel:
                     for t in range(LANE_EAGER_BITS, n_planes):
                         if t % 4 == 0 and not tied_und.any():
                             break
-                        _compare_bit(c >> (31 - t) & 1, low[t - LANE_EAGER_BITS], tied_und, tied_ge, tmp[: idx.size])
-                    ge[j, idx] = tied_ge | tied_und
+                        _compare_bit(c >> (31 - t) & 1, low[:, t - LANE_EAGER_BITS], tied_und, tied_ge, tmp[: idx.size])
+                    ge[j, idx] = np.bitwise_or(tied_ge, tied_und, out=tied_ge)
         # a lane at or above b cuts is disease b+1, or sane at or above all k
         below = _ONES
         for i in range(self.k):
-            above = ge[i] if i < len(ge) else np.uint64(0)
-            np.bitwise_and(below, ~above, out=planes[i])
-            below = above
+            if i < len(ge):
+                np.invert(ge[i], out=planes[i])
+                planes[i] &= below
+                below = ge[i]
+            else:
+                planes[i], below = below, 0
         planes[self.k] = below
         planes[: self.k] |= planes[self.k]
         return planes.reshape(self.k + 1, n_pos, words)
 
-    def combine(self, kids: np.ndarray, z: int, coins=None, valid=None) -> np.ndarray:
-        """Parents of kids, z consecutive positions each.
+    def combine(self, kids: np.ndarray, z: int, coins=None, valid=None, out=None) -> np.ndarray:
+        """Parents of kids, z consecutive positions each, written to out if given.
 
-        Under the retention rule, coins(need) sets the lanes of need, the infected children
-        of undecided parents (among those valid marks), whose coin lets the parent stay sane.
+        out is a flat uint64 array that holds k+2 planes of the parents' words and shares no
+        memory with kids: the parents' planes, then one of scratch.  Under the retention rule,
+        coins(need) sets the lanes of need, the infected children of undecided parents (among
+        those valid marks), whose coin lets the parent stay sane.
         """
         n_planes, n_pos, words = kids.shape
+        shape = (n_pos // z, words)
+        size = shape[0] * words
+        if out is None:
+            out = np.empty((n_planes + 1) * size, dtype=np.uint64)
+        parents = out[: n_planes * size].reshape(n_planes, *shape)
+        clash = out[n_planes * size : (n_planes + 1) * size].reshape(shape)
         v = kids.reshape(n_planes, n_pos // z, z, words)
-        parents = _fold(np.bitwise_and, [v[:, :, j] for j in range(z)])
-        clash = _fold(np.bitwise_or, parents)  # no bit survives: two diseases
+        _fold(np.bitwise_and, [v[:, :, j] for j in range(z)], out=parents)
+        _fold(np.bitwise_or, parents, out=clash)  # no bit survives: two diseases
         parents |= np.invert(clash, out=clash)
         if coins is None:
             return parents
@@ -314,14 +349,15 @@ class _LaneKernel:
             return None
         return partial(self.coins, _plane_draws(self.cfg.seed, chunk_index, depth, _COINS))
 
-    def chunk(self, chunk_index: int, n_trials: int) -> np.ndarray:
-        """Root-state counts (k diseases then sane) for one chunk of trials.
+    def chunk(self, chunk_index: int, n_trials: int, buffers: np.ndarray) -> np.ndarray:
+        """Root-state counts (k diseases then sane) for one chunk of trials, in the block buffers of workspace().
 
         Leaves are drawn a block of whole subtrees at a time, and each block is carried up
         the tree at once: every depth keeps the positions whose parent is not complete yet,
         and, until the chunk's last block, any level of fewer than LANE_MIN_WORDS words.
         The last word's lanes past n_trials are simulated but never counted, and draw nothing
-        of their own.
+        of their own.  Each level of a block is written to the rows of buffers that are free
+        by then; only the carries are copies.
         """
         cfg, z, k, height = self.cfg, self.cfg.dist.z_value, self.k, self.cfg.height
         valid = _valid_words(n_trials)
@@ -331,14 +367,19 @@ class _LaneKernel:
         coins = [self.coin_draws(chunk_index, depth) for depth in range(height)]
 
         n_leaves, per_block = z**height, self.block_positions(words, z)
-        buffers = self.buffers(min(per_block, n_leaves) * words)
+        # the levels of a block take turns between the leaf planes' rows and the rows after them
+        halves = buffers[: k + 1].reshape(-1), buffers[k + 1 :].reshape(-1)
         carries = [None] * height
         for start in range(0, n_leaves, per_block):
             nodes = self.leaves(leaf_draw, refine, min(per_block, n_leaves - start), valid, buffers)
-            last = start + per_block >= n_leaves
+            last, side = start + per_block >= n_leaves, 1
             for depth in range(height - 1, -1, -1):
+                # nodes lie in the other half or in a fresh array, so this half is free; a level
+                # too big for it gets a fresh array
                 if carries[depth] is not None:
-                    nodes, carries[depth] = np.concatenate((carries[depth], nodes), axis=1), None
+                    carry, carries[depth] = carries[depth], None
+                    joined = _spare(halves[side], (k + 1, carry.shape[1] + nodes.shape[1], words))
+                    nodes, side = np.concatenate((carry, nodes), axis=1, out=joined), 1 - side
                 n_pos = nodes.shape[1]
                 if n_pos * words < LANE_MIN_WORDS and not last:
                     carries[depth] = nodes.copy()  # a copy, so no carry points into the block buffers
@@ -348,7 +389,8 @@ class _LaneKernel:
                     nodes, carries[depth] = nodes[:, :used], nodes[:, used:].copy()
                     if not used:
                         break
-                nodes = self.combine(nodes, z, coins[depth], valid)
+                out = _spare(halves[side], ((k + 2) * (nodes.shape[1] // z) * words,))
+                nodes, side = self.combine(nodes, z, coins[depth], valid, out), 1 - side
             else:
                 root = nodes[:, 0]
 
@@ -371,12 +413,18 @@ def _compare_bit(bit: int, r: np.ndarray, und: np.ndarray, ge: np.ndarray, tmp: 
         und ^= tmp
 
 
-def _fold(ufunc, slabs) -> np.ndarray:
-    """ufunc over a sequence of at least two equal-shape arrays, into a new array.
+def _spare(half: np.ndarray, shape) -> np.ndarray | None:
+    """The first words of half, a free flat array, as an array of shape; None if they do not fit."""
+    size = math.prod(shape)
+    return half[:size].reshape(shape) if size <= half.size else None
+
+
+def _fold(ufunc, slabs, out=None) -> np.ndarray:
+    """ufunc over a sequence of at least two equal-shape arrays, into out or a new array.
 
     One whole-array call per slab: ufunc.reduce over an axis runs several times slower here.
     """
-    acc = ufunc(slabs[0], slabs[1])
+    acc = ufunc(slabs[0], slabs[1], out=out)
     for slab in slabs[2:]:
         ufunc(acc, slab, out=acc)
     return acc
@@ -391,14 +439,15 @@ def _valid_words(n: int) -> np.ndarray:
 
 
 def _refine_draws(seed: int, chunk_index: int, height: int):
-    """refine(idx): leaf planes LANE_EAGER_BITS..31 of the words at idx, one row each.
+    """refine(idx): leaf planes LANE_EAGER_BITS..31 of the words at idx, one column each.
 
-    Each word's later planes are consecutive words of the substream (chunk, height, REFINE).
+    Each word's later planes are consecutive words of the substream (chunk, height, REFINE),
+    so they are its row, as drawn.
     """
     bits = _bits(seed, chunk_index, height, _REFINE)
 
     def refine(idx: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(bits.random_raw(idx.size * (32 - LANE_EAGER_BITS)).reshape(idx.size, -1).T)
+        return bits.random_raw(idx.size * (32 - LANE_EAGER_BITS)).reshape(idx.size, -1)
 
     return refine
 
@@ -581,16 +630,19 @@ class _GWKernel:
             planes = self.planes(kids.take(sum(z * n for z, n, _ in groups), self.dtype), groups, scratch)
             yield self.combine_groups(planes, atoms, groups, coins, scratch["buffers"])
 
-    def chunk(self, chunk_index: int, n_trials: int) -> np.ndarray:
-        """Root-state counts (k diseases then sane) for one chunk of trials.
+    def workspace(self, trial_counts) -> dict:
+        """Arrays every level of a chunk reuses, made as the blocks and windows need them."""
+        return {}
+
+    def chunk(self, chunk_index: int, n_trials: int, scratch: dict) -> np.ndarray:
+        """Root-state counts (k diseases then sane) for one chunk of trials, with the arrays of scratch.
 
         A top-down pass keeps only the level sizes above the leaves.  The bottom-up pass
         chains bottom_level and one upper_level per depth, each a generator of node masks in
-        count order.
+        count order; they reuse scratch, since the levels run one block or window at a time.
         """
         cfg, height = self.cfg, self.cfg.height
         sizes = self.level_sizes(chunk_index, n_trials)
-        scratch = {}  # arrays every level reuses: the levels run one block or window at a time
         nodes = self.bottom_level(chunk_index, sizes[height - 1], n_trials, scratch)
         for depth in range(height - 2, -1, -1):
             nodes = self.upper_level(chunk_index, depth, sizes[depth], nodes, scratch)
@@ -638,8 +690,8 @@ def simulate_root(cfg: SimConfig, max_workers: int | None = None) -> SimResult:
 
     Refuses configs whose expected node count per trial (mean^height) exceeds
     cfg.node_budget.  TREESPREAD_THREADS (or max_workers) caps chunk-level
-    parallelism, with at most four chunks per worker in flight; results are
-    identical regardless of worker count.
+    parallelism, with at most four chunks per worker in flight and one workspace
+    per worker; results are identical regardless of worker count.
     """
     log_nodes = cfg.height * math.log(cfg.dist.mean)  # mean^height overflows a float on tall trees
     if log_nodes > math.log(cfg.node_budget):
@@ -656,18 +708,36 @@ def simulate_root(cfg: SimConfig, max_workers: int | None = None) -> SimResult:
 
     # every trial of a z-ary tree has the same shape, so z-ary chunks run 64 trials per word
     kernel = _LaneKernel(cfg) if cfg.dist.is_deterministic else _GWKernel(cfg)
-    chunks = enumerate(min(CHUNK_TRIALS, cfg.trials - start) for start in range(0, cfg.trials, CHUNK_TRIALS))
-    if max_workers == 1 or cfg.trials <= CHUNK_TRIALS:
-        counts = sum(kernel.chunk(c, n) for c, n in chunks)
+    n_chunks = -(-cfg.trials // CHUNK_TRIALS)
+
+    def size(chunk_index: int) -> int:
+        return min(CHUNK_TRIALS, cfg.trials - chunk_index * CHUNK_TRIALS)
+
+    workers = min(max_workers, n_chunks)
+    # a workspace per worker, made in this thread, so that no worker thread's malloc arena
+    # keeps a leaf block's buffers; last in, first out, so a worker tends to get its own back
+    workspaces = queue.LifoQueue()
+    for _ in range(workers):
+        workspaces.put(kernel.workspace({size(0), size(n_chunks - 1)}))
+
+    def run(chunk_index: int) -> np.ndarray:
+        workspace = workspaces.get()  # never waits: at most `workers` chunks run at once
+        try:
+            return kernel.chunk(chunk_index, size(chunk_index), workspace)
+        finally:
+            workspaces.put(workspace)
+
+    if workers == 1:
+        counts = sum(map(run, range(n_chunks)))
     else:
         # a few chunks per worker in flight, so memory does not grow with the chunk count; an
         # integer sum does not depend on the order in which the chunks are added
         counts, in_flight = 0, deque()
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for c, n in chunks:
-                if len(in_flight) == 4 * max_workers:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for c in range(n_chunks):
+                if len(in_flight) == 4 * workers:
                     counts += in_flight.popleft().result()
-                in_flight.append(pool.submit(kernel.chunk, c, n))
+                in_flight.append(pool.submit(run, c))
             counts += sum(future.result() for future in in_flight)
 
     p_hat = counts / cfg.trials

@@ -134,6 +134,14 @@ class TestOrbits:
     def test_absent_orbit(self):
         assert find_orbit(zary_map(3, 2), 2) is None
 
+    @pytest.mark.parametrize("k", range(1, 25))
+    def test_binary_tree_has_no_period2_orbit(self, k):
+        """For z = 2 the maximum of f is its fixed point, where f(x_hat) - x_hat is 0 up to rounding.
+
+        A bisection right of x_hat then found no sign change and raised for k = 4, 6, 8, 11, ...
+        """
+        assert find_orbit(zary_map(2, k), 2) is None
+
     def test_period4_z12(self):
         orbit = find_orbit(zary_map(12, 2), 4)
         assert orbit is not None and orbit.period == 4 and orbit.stable

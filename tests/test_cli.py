@@ -1,9 +1,16 @@
+import contextlib
+import io
+import itertools
 import json
+import math
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from treespread import SimConfig, SimResult, SimulationError, make_offspring, simulate_root
+from treespread.dynamics import MAX_K
 from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, MAX_STARTS, main, parse_profile
 from treespread.mc_sim import _GWKernel
 
@@ -242,6 +249,25 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("analyze", "--offspring", "zary:2", "--k", str(10**20)),
+            ("basin", "--offspring", "zary:6", "--k", str(10**16), "--starts", "3"),
+            ("iterate", "--offspring", "zary:2", "--k", str(10**20), "--profile", "dominant:2"),
+            ("iterate", "--offspring", "zary:2", "--profile", f"uniform:{MAX_K + 1}"),
+        ],
+        ids=["analyze", "basin", "dominant-profile", "uniform-profile"],
+    )
+    def test_huge_k_exits_config(self, capsys, argv):
+        """k past MAX_K is refused before anything is sized by it or divides by G(1-(k-1)x) - G(1-kx).
+
+        These raised ZeroDivisionError and OverflowError, or built a list of k+1 masses.
+        """
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and str(MAX_K) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("iterate", "--offspring", "zary:2", "--profile", "uniform:2", "--max-iters", "-3"),
             ("iterate", "--offspring", "zary:2", "--profile", "uniform:2", "--max-iters", "0"),
             ("basin", "--offspring", "zary:6", "--k", "2", "--starts", "0"),
@@ -356,10 +382,14 @@ class TestReproducibility:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--offspring", '{"masses": [[3, 0.5], [6, 0.5]]}', "--height", "2", "--trials", "8193"),
-            ("--offspring", "zary:2", "--height", "5", "--trials", "8193", "--alpha", "0.3"),
+            ("--offspring", '{"masses": [[3, 0.5], [6, 0.5]]}', "--profile", "0.5,0.2,0.3", "--height", "2",
+             "--trials", "8193"),
+            ("--offspring", "zary:2", "--profile", "0.5,0.2,0.3", "--height", "5", "--trials", "8193",
+             "--alpha", "0.3"),
+            # each chunk spans eight leaf blocks, each of which refills its chunk's block buffers
+            ("--offspring", "zary:2", "--profile", "uniform:8", "--height", "12", "--trials", "8193"),
         ],
-        ids=["gw", "zary_retention"],
+        ids=["gw", "zary_retention", "zary_k8"],
     )
     def test_out_independent_of_thread_count(self, capsys, tmp_path, monkeypatch, argv):
         # three chunks, so two threads run them concurrently
@@ -367,9 +397,7 @@ class TestReproducibility:
         for threads in ("1", "2"):
             monkeypatch.setenv("TREESPREAD_THREADS", threads)
             path = tmp_path / f"threads{threads}.json"
-            code, _, err = run(
-                capsys, "simulate", "--k", "2", "--profile", "0.5,0.2,0.3", "--seed", "7", *argv, "--out", str(path)
-            )
+            code, _, err = run(capsys, "simulate", "--seed", "7", *argv, "--out", str(path))
             assert code == EXIT_OK, err
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
@@ -399,3 +427,84 @@ class TestReproducibility:
         obj = json.loads(out)
         assert obj["config"]["offspring"] == "zary:6"
         assert obj["stop_reason"] == "period2"
+
+
+# --- generated argv: every input ends in a protocol exit code ------------------------
+
+_JUNK = st.sampled_from(["", "x", "-1", "0", "nan", "inf", "1e309", "0x10", "{", "[2]"])
+# past MAX_K and past any node budget; as many trials, starts or iterations would run that long
+_HUGE = {"--k": "99999999999999999999", "--height": "99999999999999999999"}
+_LAWS = st.lists(st.tuples(st.integers(-1, 6), st.floats(-0.5, 1.5)), min_size=1, max_size=3).map(
+    lambda atoms: json.dumps({"masses": [list(a) for a in atoms]})
+)
+_ZARY = st.integers(2, 6).map("zary:{}".format)
+_GOOD_LAWS = st.sampled_from(['{"masses": [[2, 0.5], [3, 0.5]]}', '{"masses": [[2, 0.3], [5, 0.7]]}'])
+_MASSES = st.lists(st.floats(0, 1) | st.floats(-0.5, 1.5) | st.just(math.nan), min_size=1, max_size=9)
+
+
+def _profile_for(k: int):
+    return (
+        st.just(f"uniform:{k}")
+        | st.integers(0, k + 1).map("dominant:{}".format)
+        | st.lists(st.floats(0.01, 1), min_size=k + 1, max_size=k + 1).map(lambda ms: [m / sum(ms) for m in ms])
+        .map(lambda ms: ",".join(map(repr, ms)))
+        | _MASSES.map(lambda ms: ",".join(map(str, ms)))
+    )
+
+
+# a subcommand's flags and their mostly valid values; sizes are capped so that every accepted
+# run is small: z^height and a law's mean^height stay in the thousands, trials and starts in the
+# hundreds
+_OPTIONAL = {
+    "iterate": {"--alpha": st.floats(-0.5, 1.5), "--tol": st.floats(-1e-3, 1e-3), "--max-iters": st.integers(-1, 300),
+                "--format": st.sampled_from(["csv", "json", "xml"])},
+    "analyze": {"--i": st.integers(-1, 9)},
+    "orbit": {"--period": st.integers(0, 5)},
+    "basin": {"--starts": st.integers(-1, 200), "--seed": st.integers(-2, 2**70), "--max-iters": st.integers(-1, 300)},
+    "simulate": {"--alpha": st.floats(-0.5, 1.5), "--seed": st.integers(-2, 2**70),
+                 "--node-budget": st.floats(-1.0, 1e4), "--format": st.sampled_from(["csv", "json", "xml"])},
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A subcommand's argv, usually valid: some flags dropped, repeated, foreign or given junk values."""
+    sub = draw(st.sampled_from(sorted(_OPTIONAL)))
+    k = draw(st.integers(1, 8))
+    flags = {
+        "--offspring": draw(st.one_of(_ZARY, _ZARY, _GOOD_LAWS, st.sampled_from(["zary:1", "zary:0"]), _LAWS)),
+        "--k": str(k),
+    }
+    if sub in ("iterate", "simulate"):
+        flags["--profile"] = draw(_profile_for(k))
+    if sub == "simulate":
+        flags["--height"] = str(draw(st.integers(1, 4) | st.integers(-1, 0)))
+        flags["--trials"] = str(draw(st.integers(1, 300) | st.integers(-1, 0)))
+    optional = _OPTIONAL[sub]
+    for flag in draw(st.lists(st.sampled_from(sorted(optional)), max_size=3, unique=True)):
+        flags[flag] = str(draw(optional[flag]))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=1)):
+        if draw(st.booleans()):
+            del flags[flag]
+        else:
+            flags[flag] = draw(_JUNK | st.just(_HUGE[flag]) if flag in _HUGE else _JUNK)
+    argv = [sub, *itertools.chain.from_iterable(flags.items())]
+    return argv + draw(st.sampled_from([[]] * 8 + [["--k"], ["--trials", "5"], ["--period", "2"], ["stray"]]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_any_argv_exits_with_a_protocol_code(argv):
+    """Generated argv for every subcommand, valid or not, returns 0-3 and writes no traceback.
+
+    main raising instead of returning is a traceback at the command line, and exit 1 always
+    comes with an error line.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_ABSENT), (argv, code)
+    event(f"{argv[0]} exit {code}")
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

@@ -536,6 +536,45 @@ def test_stream_identity_deep_trees(z, height, trials, k, kind, alpha):
 
 
 @pytest.mark.parametrize("alpha", [None, 0.3])
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("blocks", ["three_positions", "whole_tree"])
+def test_stream_identity_any_block_size(monkeypatch, blocks, k, alpha):
+    """The contract does not name the leaf block size: any block_positions gives the reference's result.
+
+    Blocks of three positions leave a carry at the leaf level and at every level above it, and
+    their combines outgrow the block buffers; a block of a whole tree carries nothing.
+    """
+    height = 7
+    per_block = {"three_positions": 3, "whole_tree": 2**height}[blocks]
+    monkeypatch.setattr(_LaneKernel, "block_positions", lambda self, words, z: per_block)
+    calls = _record_calls(monkeypatch, _LaneKernel, "leaves")
+    cfg = SimConfig(zary(2), _profile("random", k), height=height, trials=4097, alpha=alpha, seed=17)
+    _assert_same_stream(cfg)
+    assert len(calls) == 4 * -(-(2**height) // per_block)  # two chunks, at one worker and again at two
+
+
+def test_block_positions_per_plane():
+    """Leaf blocks hold 2^15 words per plane, 2^17 across the planes for k <= 2, within the buffer words of k = 8.
+
+    At 64-word chunks z2k2 and z2k8 take 512 positions, z3k3 486 (two subtrees of 243) and k = 63
+    only 64.  For k <= 3 the blocks are those of the rule of 2^17 words across the planes.
+    """
+    def kernel(z, k, kind="uniform"):
+        return _LaneKernel(SimConfig(zary(z), _profile(kind, k), height=20, trials=1))
+
+    assert [kernel(z, k).block_positions(64, z) for z, k in ((2, 2), (2, 8), (3, 3), (2, 63))] == [512, 512, 486, 64]
+    for z, k, kind in itertools.product((2, 3, 5), (1, 2, 3), ("uniform", "zero_sane")):
+        for words in range(1, 65):
+            per_block, span = max(1, 2**17 // ((k + 1) * words)), 1
+            while span * z <= per_block and span < z**20:
+                span *= z
+            assert kernel(z, k, kind).block_positions(words, z) == per_block // span * span, (z, k, kind, words)
+    for k in range(1, 64):
+        lanes = kernel(2, k)
+        assert lanes.buffers(lanes.block_positions(64, 2) * 64).size <= mc_sim.LANE_BUFFER_WORDS, k
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3])
 @pytest.mark.parametrize("trials", [1, 63, 64, 65, 4095, 4097, 4160])
 def test_stream_identity_padding_lanes(trials, alpha):
     """A chunk whose trials do not fill its last word simulates padding lanes, which never count or draw."""
@@ -906,7 +945,7 @@ def test_lane_leaves_match_searchsorted(cuts):
 
     def refine(idx):
         asked.append(idx)
-        return planes[_T:, idx]
+        return planes[_T:, idx].T  # one row per word, as the refine substream draws them
 
     valid = np.full(words, ~np.uint64(0))
     got = kernel.leaves(draw, refine, n_pos, valid, kernel.buffers(n_pos * words))
@@ -921,17 +960,38 @@ def test_lane_leaves_match_searchsorted(cuts):
     assert asked or not deep
 
 
-def test_zary_chunk_memory_is_bounded():
-    """A z-ary standard-rule chunk holds one leaf block, not every leaf of its 4096 trials."""
-    cfg = SimConfig(zary(2), (1 / 3,) * 3, height=12, trials=4096, seed=1)
+def _traced_peak(cfg: SimConfig) -> int:
+    """Peak traced bytes of simulate_root at one worker.
+
+    A one-trial run first does the imports numpy's seeding makes on first use (about 0.7 MiB).
+    """
+    simulate_root(SimConfig(cfg.dist, cfg.profile, height=1, trials=1), max_workers=1)
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         simulate_root(cfg, max_workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_zary_chunk_memory_is_bounded():
+    """A z-ary standard-rule chunk holds one leaf block, not every leaf of its 4096 trials."""
+    peak = _traced_peak(SimConfig(zary(2), (1 / 3,) * 3, height=12, trials=4096, seed=1))
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("k,bound_mib", [(8, 6), (63, 14)])
+def test_zary_chunk_memory_is_bounded_at_large_k(k, bound_mib):
+    """The block buffers hold each level of a block, and their size is capped whatever k is.
+
+    k = 8 traced 5.6 MiB: 4.25 MiB of buffers at 2^15 words per plane, the rest the refine
+    words and the carries.  Allocating every level's combine afresh traced 6.5 MiB.  At k = 63
+    the cap keeps the buffers to 4.0 MiB of the 11.1 MiB peak, against 32 MiB at 2^15 words per
+    plane; the carries of 64 planes take most of the rest.
+    """
+    peak = _traced_peak(SimConfig(zary(2), (1 / (k + 1),) * (k + 1), height=12, trials=4096, seed=1))
+    assert peak < bound_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(
@@ -976,3 +1036,28 @@ def test_chunks_in_flight_are_bounded(monkeypatch):
             tracemalloc.stop()
         assert results[-1] == simulate_root(cfg, max_workers=1)
     assert peaks[1] < peaks[0] + 2**18, f"peaks {peaks}"
+
+
+def test_chunks_are_walked_lazily(monkeypatch):
+    """simulate_root sizes each chunk as it starts it: 2^32 trials, 2^20 chunks, allocate nothing up front.
+
+    A list of the chunks' sizes would hold 8 MiB before the first chunk ran.
+    """
+
+    class Stop(Exception):
+        pass
+
+    def first_chunk(self, chunk_index, n_trials, buffers):
+        raise Stop
+
+    monkeypatch.setattr(_LaneKernel, "chunk", first_chunk)
+    cfg = SimConfig(zary(2), (0.5, 0.5), height=1, trials=2**32, seed=1)
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                simulate_root(cfg, max_workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{workers} workers: peak {peak} bytes"
