@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicsError, ScalarMapSpec, scalar_deriv, scalar_eval, zary_map
+from .dynamics import DynamicsError, ScalarMapSpec, _check_max_iters, scalar_deriv, scalar_eval, zary_map
 from .offspring import OffspringDistribution
 
 BISECT_ITERS = 200
@@ -234,9 +234,9 @@ def _iter_map(spec: ScalarMapSpec, x, times: int):
     return x
 
 
-def _grid_roots(g, lo: float, hi: float, cells: int) -> list[float]:
+def _grid_roots(g, lo: float, hi: float) -> list[float]:
     """Zeros of g: grid points where it vanishes and a root in every sign-changing cell."""
-    x = lo + (hi - lo) * np.arange(cells + 1) / cells
+    x = lo + (hi - lo) * np.arange(ORBIT_GRID_CELLS + 1) / ORBIT_GRID_CELLS
     v = g(x)
     pos = v > 0
     exact = v[1:] == 0.0
@@ -244,7 +244,7 @@ def _grid_roots(g, lo: float, hi: float, cells: int) -> list[float]:
     return sorted(x[1:][exact].tolist() + _bisect(g, x[:-1][change], x[1:][change]).tolist())
 
 
-def find_orbit(spec: ScalarMapSpec, period: int, cells: int = ORBIT_GRID_CELLS) -> OrbitReport | None:
+def find_orbit(spec: ScalarMapSpec, period: int) -> OrbitReport | None:
     """Locate a period-2 or period-4 orbit of the scalar map, or None if absent.
 
     Period 2 is searched on (x_hat, x_hat_r), where all fixed points of f^2
@@ -265,9 +265,9 @@ def find_orbit(spec: ScalarMapSpec, period: int, cells: int = ORBIT_GRID_CELLS) 
     else:
         lo, hi = 1e-12, 1.0 / k
         # fixed points of f^2 (including any 2-cycle) are excluded from the f^4 scan
-        exclude += _grid_roots(lambda x: _iter_map(spec, x, 2) - x, lo, hi, cells)
+        exclude += _grid_roots(lambda x: _iter_map(spec, x, 2) - x, lo, hi)
 
-    roots = _grid_roots(lambda x: _iter_map(spec, x, period) - x, lo, hi, cells)
+    roots = _grid_roots(lambda x: _iter_map(spec, x, period) - x, lo, hi)
     candidates = [r for r in roots if all(abs(r - e) > ORBIT_EXCLUSION for e in exclude)]
     if not candidates:
         return None
@@ -313,23 +313,21 @@ def basin_classify(
     spec: ScalarMapSpec,
     starts,
     max_iters: int = 100_000,
-    tol: float = BASIN_BALL,
     orbit: OrbitReport | None = None,
 ) -> BasinReport:
     """Classify starts by the limit of the even-index subsequence of iterates.
 
-    Membership requires staying within tol of a candidate (orbit point or the
+    Membership requires staying within BASIN_BALL of a candidate (orbit point or the
     fixed point) for BASIN_CONFIRM_STEPS consecutive even steps, which guards
     against slow transit past the repelling fixed point.
     """
-    if not max_iters >= 1:
-        raise DynamicsError(f"max_iters must be >= 1, got {max_iters!r}")
+    _check_max_iters(max_iters)
     if orbit is None:
         orbit = find_orbit(spec, 2)
     if orbit is None:
         raise DynamicsError("basin classification needs a period-2 orbit; none found")
     names = ["orbit_left", "orbit_right", "fixed_point", "unresolved"]
-    # label i < 3 means within tol of candidate i; -1 means none (and, as a verdict, unresolved)
+    # label i < 3 means within BASIN_BALL of candidate i; -1 means none (and, as a verdict, unresolved)
     targets = np.array([orbit.points[0], orbit.points[-1], find_fixed_point(spec).x_bar])
 
     starts = [float(s) for s in starts]
@@ -341,7 +339,7 @@ def basin_classify(
     streak_label = np.full(len(starts), -1)
     streak = np.zeros(len(starts), dtype=int)
     for n in range(max_iters):
-        near = np.abs(x[:, None] - targets) < tol
+        near = np.abs(x[:, None] - targets) < BASIN_BALL
         label = np.where(near.any(axis=1), near.argmax(axis=1), -1)
         same = (label >= 0) & (label == streak_label)
         streak = np.where(same, streak + 1, label >= 0)

@@ -119,11 +119,16 @@ def cmd_iterate(args) -> int:
     return EXIT_OK if traj.stop_reason in ("converged", "period2") else EXIT_BUDGET
 
 
-def cmd_analyze(args) -> int:
+def _scalar_spec(args) -> ScalarMapSpec:
+    """The standard scalar map of --offspring and --k, for analyze, orbit and basin."""
     dist = parse_offspring(args.offspring)
     if args.k is None:
-        raise ConfigError("analyze needs --k")
-    spec = ScalarMapSpec(dist, args.k)
+        raise ConfigError(f"{args.command} needs --k")
+    return ScalarMapSpec(dist, args.k)
+
+
+def cmd_analyze(args) -> int:
+    spec = _scalar_spec(args)
     report = analysis.analysis_bundle(spec, i=args.i)
     report["config"] = _resolved_config(args, ["offspring", "k", "i"])
     _json_out(report, args.out)
@@ -131,10 +136,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    dist = parse_offspring(args.offspring)
-    if args.k is None:
-        raise ConfigError("orbit needs --k")
-    spec = ScalarMapSpec(dist, args.k)
+    spec = _scalar_spec(args)
     orbit = analysis.find_orbit(spec, args.period)
     cfg = _resolved_config(args, ["offspring", "k", "period"])
     if orbit is None:
@@ -147,12 +149,9 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_basin(args) -> int:
-    dist = parse_offspring(args.offspring)
-    if args.k is None:
-        raise ConfigError("basin needs --k")
+    spec = _scalar_spec(args)
     if not 1 <= args.starts <= MAX_STARTS:
         raise ConfigError(f"--starts must be between 1 and {MAX_STARTS}, got {args.starts}")
-    spec = ScalarMapSpec(dist, args.k)
     orbit = analysis.find_orbit(spec, 2)
     if orbit is None:
         print("no period-2 orbit; nothing to classify", file=sys.stderr)
@@ -276,19 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Splice the defaults of a --config JSON file into argv; explicit flags win."""
-    if "--config" not in argv:
+    # argparse finds the flag in any form it accepts: --config=FILE, or abbreviated
+    flag_parser = _Parser(add_help=False)
+    flag_parser.add_argument("--config")
+    known, argv = flag_parser.parse_known_args(argv)
+    if known.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config needs a path")
     try:
-        with open(argv[idx + 1]) as fh:
+        with open(known.config) as fh:
             defaults = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     if not isinstance(defaults, dict):
         raise ConfigError("config file must hold a JSON object of option values")
-    argv = argv[:idx] + argv[idx + 2:]
     extra = []
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,35 +58,35 @@ class DiseaseProfile:
         return i
 
 
-def check_masses(masses, strict: bool = True) -> tuple[float, ...]:
-    """Validate a probability vector (p_1..p_k, p_sane) in any disease order.
+def check_masses(masses, strict: bool = True) -> np.ndarray:
+    """Validate a probability vector (p_1..p_k, p_sane) in any disease order; return it as a float array.
 
-    strict=True enforces the user-facing contract: every entry positive.
-    strict=False admits boundary points with zero mass, which show up as
-    embeddings of lower-dimensional dynamics and along trajectories.
+    Every entry must be finite and at most 1.  strict=True enforces the user-facing contract:
+    every entry positive.  strict=False admits boundary points with zero mass (down to
+    -PROB_TOL), which show up as embeddings of lower-dimensional dynamics and along
+    trajectories.  The entries are summed exactly with math.fsum, so whether a vector passes
+    does not depend on k or on the order of its entries.
     """
-    masses = tuple(float(m) for m in masses)
-    if len(masses) < 2:
-        raise DynamicsError("profile needs at least one disease mass and the sane mass")
-    if not np.isfinite(masses).all():
-        raise DynamicsError(f"profile {masses!r} has a non-finite entry")
-    lo = 0.0 if strict else -PROB_TOL
-    for m in masses:
-        if (strict and m <= lo) or (not strict and m < lo):
-            raise DynamicsError(f"profile entry {m!r} violates positivity")
-    total = sum(masses)
+    v = np.asarray(masses, dtype=float)
+    if v.ndim != 1 or v.size < 2:
+        raise DynamicsError("profile needs at least one disease mass and the sane mass, as a flat vector")
+    # NaN fails both comparisons, and an infinite entry the second
+    inside = (v > 0.0 if strict else v >= -PROB_TOL) & (v <= 1.0 + PROB_TOL)
+    if not inside.all():
+        m = float(v[np.argmin(inside)])
+        raise DynamicsError(f"profile entry {m!r} outside {'(0' if strict else '[0'}, 1]")
+    total = math.fsum(v.data)  # the buffer yields Python floats, faster to sum than numpy scalars
     if abs(total - 1.0) > PROB_TOL:
         raise DynamicsError(f"profile sums to {total!r}, not 1 within {PROB_TOL}")
-    return masses
+    return v
 
 
 def make_profile(masses, strict: bool = True) -> DiseaseProfile:
     """Validate a profile vector (p_1..p_k, p_sane) as check_masses does, in canonical order."""
-    masses = check_masses(masses, strict)
-    for a, b in zip(masses[:-2], masses[1:-1]):
-        if b > a:
-            raise DynamicsError("disease masses must be non-increasing (canonical ordering)")
-    return DiseaseProfile(masses)
+    v = check_masses(masses, strict)
+    if (v[1:-1] > v[:-2]).any():
+        raise DynamicsError("disease masses must be non-increasing (canonical ordering)")
+    return DiseaseProfile(tuple(v.tolist()))
 
 
 def uniform_profile(k: int) -> DiseaseProfile:
@@ -100,9 +101,8 @@ def dominant_profile(k: int, i: int) -> DiseaseProfile:
     if not 1 <= i <= k:
         raise DynamicsError(f"dominant count {i} outside [1, {k}]")
     lead = 0.8 / (i + 0.5 * (k - i))
-    masses = [lead] * i + [lead / 2] * (k - i) + [0.2]
-    masses[-1] = 1.0 - sum(masses[:-1])
-    return make_profile(masses)
+    masses = [lead] * i + [lead / 2] * (k - i)
+    return make_profile(masses + [1.0 - math.fsum(masses)])
 
 
 def _check_k(k: int) -> None:
@@ -113,6 +113,11 @@ def _check_k(k: int) -> None:
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise DynamicsError(f"alpha {alpha!r} outside (0,1]")
+
+
+def _check_max_iters(max_iters: int) -> None:
+    if not max_iters >= 1:
+        raise DynamicsError(f"max_iters must be >= 1, got {max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -176,17 +181,6 @@ def scalar_deriv(spec: ScalarMapSpec, x, order: int = 1):
     )
 
 
-def _check_vector(p, context: str) -> np.ndarray:
-    v = np.asarray(p, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise DynamicsError(f"{context}: expected a flat vector of length k+1")
-    if np.any(v < -PROB_TOL):
-        raise DynamicsError(f"{context}: negative mass in {v.tolist()}")
-    if abs(v.sum() - 1.0) > PROB_TOL:
-        raise DynamicsError(f"{context}: masses sum to {v.sum()!r}, not 1")
-    return v
-
-
 def _step(dist: OffspringDistribution, v: np.ndarray, alpha: float) -> np.ndarray:
     sane, d = v[-1], v[:-1]
     out = np.empty_like(v)
@@ -201,13 +195,13 @@ def _step(dist: OffspringDistribution, v: np.ndarray, alpha: float) -> np.ndarra
 
 def step_full(dist: OffspringDistribution, p) -> np.ndarray:
     """One step of the exact recursion: p_i -> G(p_sane + p_i) - G(p_sane)."""
-    return _step(dist, _check_vector(p, "step_full"), 1.0)
+    return _step(dist, check_masses(p, strict=False), 1.0)
 
 
 def step_variant(dist: OffspringDistribution, p, alpha: float) -> np.ndarray:
     """One step of the retention-variant recursion with shared alpha in (0,1]."""
     _check_alpha(alpha)
-    return _step(dist, _check_vector(p, "step_variant"), alpha)
+    return _step(dist, check_masses(p, strict=False), alpha)
 
 
 @dataclass
@@ -250,8 +244,7 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     """
     if not (tol > 0.0 and np.isfinite(tol)):
         raise DynamicsError(f"tol {tol!r} is not a positive finite number")
-    if not max_iters >= 1:
-        raise DynamicsError(f"max_iters must be >= 1, got {max_iters!r}")
+    _check_max_iters(max_iters)
     if isinstance(start, DiseaseProfile):
         start = np.asarray(start.masses)
     states = [start]

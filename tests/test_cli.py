@@ -109,10 +109,6 @@ class TestAnalyze:
         fp = json.loads(out)["fixed_point"]
         assert fp["residual"] < 1e-12
 
-    def test_missing_k(self, capsys):
-        code, _, _ = run(capsys, "analyze", "--offspring", "zary:6")
-        assert code == EXIT_CONFIG
-
 
 class TestOrbit:
     def test_found(self, capsys):
@@ -211,6 +207,21 @@ class TestBadInput:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_CONFIG
         assert "error:" in err
+
+    @pytest.mark.parametrize("sub", ["analyze", "orbit", "basin"])
+    def test_scalar_map_needs_k(self, capsys, sub):
+        code, out, err = run(capsys, sub, "--offspring", "zary:6")
+        assert code == EXIT_CONFIG
+        assert err == f"error: {sub} needs --k\n" and out == ""
+
+    def test_gw_past_63_diseases_exits_config(self, capsys):
+        """The Galton-Watson kernel keeps a node's diseases and sane bit in one unsigned integer of at most 64 bits."""
+        law = json.dumps({"masses": [[2, 0.5], [3, 0.5]]})
+        code, out, err = run(
+            capsys, "simulate", "--offspring", law, "--profile", "uniform:64", "--height", "2", "--trials", "10"
+        )
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and "max 63" in err and out == ""
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -416,6 +427,17 @@ class TestReproducibility:
         code, out, err = run(capsys, "iterate", "--config", str(cfg))
         assert code == EXIT_OK, err
         assert json.loads(json.loads(out)["config"]["offspring"]) == law
+
+    @pytest.mark.parametrize("form", ["equals", "abbreviated"])
+    def test_config_flag_in_any_form_argparse_accepts(self, capsys, tmp_path, form):
+        """--config=FILE and --conf FILE were accepted and then ignored."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"max_iters": 3}))
+        flag = [f"--config={cfg}"] if form == "equals" else ["--conf", str(cfg)]
+        code, out, err = run(capsys, *flag, "iterate", "--offspring", "zary:6", "--profile", "uniform:2")
+        assert code == EXIT_BUDGET, err
+        obj = json.loads(out)
+        assert obj["config"]["max_iters"] == 3 and obj["iterations"] == 3
 
     def test_explicit_flag_beats_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -50,6 +50,8 @@ class TestProfiles:
     def test_make_profile_rejects_bad_sum(self):
         with pytest.raises(DynamicsError):
             make_profile([0.5, 0.4])
+        with pytest.raises(DynamicsError):  # not an OverflowError from the exact sum
+            make_profile([1e308, 1e308, 0.5])
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_make_profile_rejects_non_finite(self, strict):
@@ -106,6 +108,26 @@ class TestStepFull:
             step_full(zary(2), [0.5, 0.4])
         with pytest.raises(DynamicsError):
             step_full(zary(2), [1.2, -0.2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        """A NaN passed every sign and sum test and came out as a NaN state; iterate then ran to max_iters."""
+        p = [bad, 0.5, 0.5]
+        for step in (full_stepper(zary(2)), variant_stepper(zary(2), 0.5)):
+            with pytest.raises(DynamicsError):
+                step(p)
+            with pytest.raises(DynamicsError):
+                iterate(step, np.array(p), max_iters=5)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [lambda: uniform_profile(100_000), lambda: dominant_profile(10**6, 2)],
+        ids=["uniform_1e5", "dominant_1e6"],
+    )
+    def test_steps_profiles_of_many_diseases(self, profile):
+        """Summed in order, 10^5 or 10^6 masses drift past PROB_TOL from 1; the exact sum does not."""
+        p = profile()
+        assert step_full(zary(2), p.masses).shape == (p.k + 1,)
 
     def test_matches_scalar_map_on_uniform_points(self):
         for k in (1, 2, 4):

@@ -537,15 +537,17 @@ def test_stream_identity_deep_trees(z, height, trials, k, kind, alpha):
 
 @pytest.mark.parametrize("alpha", [None, 0.3])
 @pytest.mark.parametrize("k", [2, 8])
-@pytest.mark.parametrize("blocks", ["three_positions", "whole_tree"])
+@pytest.mark.parametrize("blocks", ["three_positions", "five_positions", "whole_tree"])
 def test_stream_identity_any_block_size(monkeypatch, blocks, k, alpha):
     """The contract does not name the leaf block size: any block_positions gives the reference's result.
 
     Blocks of three positions leave a carry at the leaf level and at every level above it, and
-    their combines outgrow the block buffers; a block of a whole tree carries nothing.
+    their combines outgrow the block buffers; a block of a whole tree carries nothing.  Blocks of
+    five gather 65 leaf positions of the 64-word chunk before they pass LANE_MIN_WORDS, an odd
+    count, so the leaf level combines 64 of them and carries the last.
     """
     height = 7
-    per_block = {"three_positions": 3, "whole_tree": 2**height}[blocks]
+    per_block = {"three_positions": 3, "five_positions": 5, "whole_tree": 2**height}[blocks]
     monkeypatch.setattr(_LaneKernel, "block_positions", lambda self, words, z: per_block)
     calls = _record_calls(monkeypatch, _LaneKernel, "leaves")
     cfg = SimConfig(zary(2), _profile("random", k), height=height, trials=4097, alpha=alpha, seed=17)
