@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DynamicsError, ScalarMapSpec, _check_max_iters, scalar_deriv, scalar_eval, zary_map
-from .offspring import OffspringDistribution
+from .offspring import OffspringDistribution, pgf_deriv, zary
 
 BISECT_ITERS = 200
 CLASSIFY_DEADZONE = 1e-9
@@ -209,10 +209,9 @@ def nonuniform_spectrum(z: int, k: int, i: int) -> list[float]:
     """
     if not 1 <= i <= k:
         raise DynamicsError(f"dominant count {i} outside [1, {k}]")
-    x_bar = classify_uniform(z, i).x_bar
-    lam1 = -z * (i - 1) * (1 - (i - 1) * x_bar) ** (z - 1) + z * i * (1 - i * x_bar) ** (z - 1)
-    lam2 = z * (1 - i * x_bar) ** (z - 1)
-    return [lam1] + [lam2] * (k - i)
+    fixed = classify_uniform(z, i)
+    lam2 = pgf_deriv(zary(z), 1.0 - i * fixed.x_bar)  # G'(1 - i x_bar)
+    return [fixed.multiplier] + [lam2] * (k - i)
 
 
 def _x_hat_right(spec: ScalarMapSpec, x_hat: float) -> float:

@@ -59,26 +59,27 @@ level's results return to count order, which keeps the nodes of a level iid
 for the level above.
 
 A config and seed give the same output at any worker count, and the same as
-drawing every substream whole at once.  A chunk streams its nodes up the tree
-and stores no level whole.  A z-ary chunk draws its leaves in blocks of whole
-subtrees, sized in words per bit-plane (LANE_PLANE_WORDS) so that its numpy
-calls stay long as k grows, and with its bytes capped for large k
-(LANE_BUFFER_WORDS).  Every level of a block is written into the free rows of
-the block buffers, a workspace that each worker's chunks refill in turn, and
-every depth keeps a carry (a copy) of the children whose parent is not complete
-yet.  A GW chunk draws the counts of each depth above the leaf parents twice: a
-top-down pass keeps only the level sizes, and the bottom-up pass re-draws them a
-window at a time, as the levels below produce the children.  The leaf parents' counts are drawn once, a block at a time on
-the way up, and the leaves counted so far are checked against the node budget
-before each block's leaves are drawn.
+drawing every substream whole at once.  Of W workers, worker w runs chunks w,
+w + W, w + 2W, ... one at a time, with one scratch dict of buffers that its
+chunks refill in turn.  A chunk streams its nodes up the tree and stores no
+level whole.  A z-ary chunk draws its leaves in blocks of whole subtrees, sized
+in words per bit-plane (LANE_PLANE_WORDS) so that its numpy calls stay long as
+k grows, and with its bytes capped for large k (LANE_BUFFER_WORDS).  Every
+level of a block is written into the free rows of the block buffers, and every
+depth keeps a carry (a copy) of the children whose parent is not complete yet.
+A GW chunk draws the counts of each depth above the leaf parents twice: a
+top-down pass keeps only the level sizes, and the bottom-up pass re-draws them
+a window at a time, as the levels below produce the children.  The leaf
+parents' counts are drawn once, a block at a time on the way up, and the leaves
+counted so far are checked against the node budget before each block's leaves
+are drawn.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -91,6 +92,7 @@ from .offspring import OffspringDistribution
 SANE = 0  # scalar NodeState for a non-infected node; diseases are 1..k
 
 CHUNK_TRIALS = 4096
+MAX_WORKERS = 64  # the most worker threads TREESPREAD_THREADS may ask for
 # GW parents per bottom lane block and per window of a level above it; both even, so a
 # depth's count draws split at 64-bit word boundaries
 BLOCK_PARENTS = 1 << 17
@@ -230,12 +232,6 @@ class _LaneKernel:
         """Rows for leaf blocks of up to n words: the k+1 bit-planes, then ge."""
         return np.empty((self.k + 1 + len(self.cuts), n), dtype=np.uint64)
 
-    def workspace(self, trial_counts) -> np.ndarray:
-        """The block buffers of chunks of any of trial_counts trials."""
-        z = self.cfg.dist.z_value
-        return self.buffers(max(min(self.block_positions(words, z), z**self.cfg.height) * words
-                                for words in {-(-n // 64) for n in trial_counts}))
-
     def leaves(self, draw, refine, n_pos: int, valid: np.ndarray, buffers) -> np.ndarray:
         """Bit-planes of the next n_pos leaf positions, shape (k+1, n_pos, words), in buffers.
 
@@ -349,15 +345,16 @@ class _LaneKernel:
             return None
         return partial(self.coins, _plane_draws(self.cfg.seed, chunk_index, depth, _COINS))
 
-    def chunk(self, chunk_index: int, n_trials: int, buffers: np.ndarray) -> np.ndarray:
-        """Root-state counts (k diseases then sane) for one chunk of trials, in the block buffers of workspace().
+    def chunk(self, chunk_index: int, n_trials: int, scratch: dict) -> np.ndarray:
+        """Root-state counts (k diseases then sane) for one chunk of trials, in the block buffers of scratch.
 
         Leaves are drawn a block of whole subtrees at a time, and each block is carried up
         the tree at once: every depth keeps the positions whose parent is not complete yet,
         and, until the chunk's last block, any level of fewer than LANE_MIN_WORDS words.
         The last word's lanes past n_trials are simulated but never counted, and draw nothing
         of their own.  Each level of a block is written to the rows of buffers that are free
-        by then; only the carries are copies.
+        by then; only the carries are copies.  The buffers are kept in scratch for the next
+        chunk, and replaced only by a chunk that needs more.
         """
         cfg, z, k, height = self.cfg, self.cfg.dist.z_value, self.k, self.cfg.height
         valid = _valid_words(n_trials)
@@ -367,6 +364,10 @@ class _LaneKernel:
         coins = [self.coin_draws(chunk_index, depth) for depth in range(height)]
 
         n_leaves, per_block = z**height, self.block_positions(words, z)
+        n_words = min(per_block, n_leaves) * words
+        buffers = scratch.get("buffers")
+        if buffers is None or buffers.shape[1] < n_words:  # z-ary chunks are all one size but the last
+            buffers = scratch["buffers"] = self.buffers(n_words)
         # the levels of a block take turns between the leaf planes' rows and the rows after them
         halves = buffers[: k + 1].reshape(-1), buffers[k + 1 :].reshape(-1)
         carries = [None] * height
@@ -630,10 +631,6 @@ class _GWKernel:
             planes = self.planes(kids.take(sum(z * n for z, n, _ in groups), self.dtype), groups, scratch)
             yield self.combine_groups(planes, atoms, groups, coins, scratch["buffers"])
 
-    def workspace(self, trial_counts) -> dict:
-        """Arrays every level of a chunk reuses, made as the blocks and windows need them."""
-        return {}
-
     def chunk(self, chunk_index: int, n_trials: int, scratch: dict) -> np.ndarray:
         """Root-state counts (k diseases then sane) for one chunk of trials, with the arrays of scratch.
 
@@ -685,60 +682,51 @@ def _draw_u32(bits, n: int) -> np.ndarray:
     return bits.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
 
 
-def simulate_root(cfg: SimConfig, max_workers: int | None = None) -> SimResult:
+def simulate_root(cfg: SimConfig) -> SimResult:
     """Empirical root distribution over cfg.trials freshly sampled trees.
 
     Refuses configs whose expected node count per trial (mean^height) exceeds
-    cfg.node_budget.  TREESPREAD_THREADS (or max_workers) caps chunk-level
-    parallelism, with at most four chunks per worker in flight and one workspace
-    per worker; results are identical regardless of worker count.
+    cfg.node_budget.  TREESPREAD_THREADS (0..MAX_WORKERS, 0 for every CPU) caps
+    the worker count.  Worker w runs chunks w, w + W, w + 2W, ... of the W
+    workers, one at a time with one scratch dict; a chunk that raises stops the
+    other workers at their next chunk.  Results are identical at any worker count.
     """
     log_nodes = cfg.height * math.log(cfg.dist.mean)  # mean^height overflows a float on tall trees
     if log_nodes > math.log(cfg.node_budget):
         raise SimulationError(
             f"expected ~10^{log_nodes / math.log(10):.3g} nodes per trial exceeds budget {cfg.node_budget:.3g}"
         )
-    if max_workers is None:
-        raw = os.environ.get("TREESPREAD_THREADS", "0")
-        try:
-            max_workers = int(raw) or (os.cpu_count() or 1)
-        except ValueError:
-            raise SimulationError(f"TREESPREAD_THREADS={raw!r} is not an integer") from None
-    max_workers = max(1, max_workers)
+    raw = os.environ.get("TREESPREAD_THREADS", "0")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = -1
+    if not 0 <= threads <= MAX_WORKERS:
+        raise SimulationError(f"TREESPREAD_THREADS={raw!r} is not an integer in 0..{MAX_WORKERS}")
 
     # every trial of a z-ary tree has the same shape, so z-ary chunks run 64 trials per word
     kernel = _LaneKernel(cfg) if cfg.dist.is_deterministic else _GWKernel(cfg)
     n_chunks = -(-cfg.trials // CHUNK_TRIALS)
+    workers = min(threads or os.cpu_count() or 1, n_chunks)
+    failed = threading.Event()
 
-    def size(chunk_index: int) -> int:
-        return min(CHUNK_TRIALS, cfg.trials - chunk_index * CHUNK_TRIALS)
-
-    workers = min(max_workers, n_chunks)
-    # a workspace per worker, made in this thread, so that no worker thread's malloc arena
-    # keeps a leaf block's buffers; last in, first out, so a worker tends to get its own back
-    workspaces = queue.LifoQueue()
-    for _ in range(workers):
-        workspaces.put(kernel.workspace({size(0), size(n_chunks - 1)}))
-
-    def run(chunk_index: int) -> np.ndarray:
-        workspace = workspaces.get()  # never waits: at most `workers` chunks run at once
+    def run(worker: int) -> np.ndarray:
+        scratch, counts = {}, 0
         try:
-            return kernel.chunk(chunk_index, size(chunk_index), workspace)
-        finally:
-            workspaces.put(workspace)
+            for c in range(worker, n_chunks, workers):
+                if failed.is_set():
+                    break
+                counts += kernel.chunk(c, min(CHUNK_TRIALS, cfg.trials - c * CHUNK_TRIALS), scratch)
+        except BaseException:
+            failed.set()
+            raise
+        return counts
 
     if workers == 1:
-        counts = sum(map(run, range(n_chunks)))
+        counts = run(0)  # on this thread: a pool thread would take a malloc arena of its own
     else:
-        # a few chunks per worker in flight, so memory does not grow with the chunk count; an
-        # integer sum does not depend on the order in which the chunks are added
-        counts, in_flight = 0, deque()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for c in range(n_chunks):
-                if len(in_flight) == 4 * workers:
-                    counts += in_flight.popleft().result()
-                in_flight.append(pool.submit(run, c))
-            counts += sum(future.result() for future in in_flight)
+            counts = sum(pool.map(run, range(workers)))  # an integer sum, the same in any order
 
     p_hat = counts / cfg.trials
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / cfg.trials)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from treespread import SimConfig, SimResult, SimulationError, make_offspring, simulate_root
+from treespread import SimConfig, SimResult, SimulationError, make_offspring, mc_sim, simulate_root
 from treespread.dynamics import MAX_K
 from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, MAX_STARTS, main, parse_profile
 from treespread.mc_sim import _GWKernel
@@ -367,15 +367,20 @@ class TestBadInput:
         assert out == ""
 
     def test_invalid_thread_count_names_the_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("TREESPREAD_THREADS", "abc")
-        code, out, err = run(
-            capsys,
-            "simulate", "--offspring", "zary:2", "--k", "2", "--profile", "uniform:2",
-            "--height", "2", "--trials", "10",
-        )
-        assert code == EXIT_CONFIG
-        assert "error:" in err and "TREESPREAD_THREADS" in err and "Traceback" not in err
-        assert out == ""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(mc_sim, "ThreadPoolExecutor", no_pool)  # so no value starts a thread
+        for threads in ("abc", "-1", str(mc_sim.MAX_WORKERS + 1)):
+            monkeypatch.setenv("TREESPREAD_THREADS", threads)
+            code, out, err = run(
+                capsys,
+                "simulate", "--offspring", "zary:2", "--k", "2", "--profile", "uniform:2",
+                "--height", "2", "--trials", "20480000",
+            )
+            assert code == EXIT_CONFIG, threads
+            assert "error:" in err and f"TREESPREAD_THREADS={threads!r}" in err and "Traceback" not in err
+            assert out == ""
 
 
 class TestReproducibility:
@@ -403,15 +408,15 @@ class TestReproducibility:
         ids=["gw", "zary_retention", "zary_k8"],
     )
     def test_out_independent_of_thread_count(self, capsys, tmp_path, monkeypatch, argv):
-        # three chunks, so two threads run them concurrently
+        # three chunks, so two or three threads run them concurrently
         outs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv("TREESPREAD_THREADS", threads)
             path = tmp_path / f"threads{threads}.json"
             code, _, err = run(capsys, "simulate", "--seed", "7", *argv, "--out", str(path))
             assert code == EXIT_OK, err
             outs.append(path.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -162,6 +164,13 @@ def _record_calls(monkeypatch, cls, name: str) -> list:
     return calls
 
 
+def _simulate(cfg: SimConfig, workers: int) -> SimResult:
+    """simulate_root(cfg) with TREESPREAD_THREADS set to workers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("TREESPREAD_THREADS", str(workers))
+        return simulate_root(cfg)
+
+
 class TestSimulate:
     def test_height1_matches_one_step(self):
         profile = (1 / 3, 1 / 3, 1 / 3)
@@ -218,7 +227,7 @@ class TestSimulate:
 
     def test_worker_count_independent(self):
         cfg = SimConfig(zary(2), (0.4, 0.25, 0.35), height=5, trials=20_000, seed=2)
-        assert simulate_root(cfg, max_workers=1) == simulate_root(cfg, max_workers=4)
+        assert _simulate(cfg, 1) == _simulate(cfg, 4)
 
     def test_permutation_equivariance(self):
         h, n = 2, 40_000
@@ -496,7 +505,7 @@ def _profile(kind: str, k: int) -> tuple[float, ...]:
 def _assert_same_stream(cfg: SimConfig) -> None:
     want = _reference_root(cfg)
     for workers in (1, 2) if cfg.trials > CHUNK_TRIALS else (1,):
-        assert simulate_root(cfg, max_workers=workers) == want, f"{workers} workers"
+        assert _simulate(cfg, workers) == want, f"{workers} workers"
 
 
 # heights that give every 4095-trial Galton-Watson chunk two bottom lane blocks; several
@@ -967,11 +976,11 @@ def _traced_peak(cfg: SimConfig) -> int:
 
     A one-trial run first does the imports numpy's seeding makes on first use (about 0.7 MiB).
     """
-    simulate_root(SimConfig(cfg.dist, cfg.profile, height=1, trials=1), max_workers=1)
+    _simulate(SimConfig(cfg.dist, cfg.profile, height=1, trials=1), 1)
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        simulate_root(cfg, max_workers=1)
+        _simulate(cfg, 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1014,7 +1023,7 @@ def test_gw_and_variant_chunk_memory_is_bounded(dist, profile, height, alpha, tr
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        simulate_root(cfg, max_workers=1)
+        _simulate(cfg, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1022,7 +1031,7 @@ def test_gw_and_variant_chunk_memory_is_bounded(dist, profile, height, alpha, tr
 
 
 def test_chunks_in_flight_are_bounded(monkeypatch):
-    """With two workers simulate_root keeps a few chunks in flight, so its peak does not grow with the chunk count.
+    """With two workers simulate_root runs one chunk per worker at a time, so its peak does not grow with the chunk count.
 
     Handing every chunk to the pool at once took about 2 KB per chunk.
     """
@@ -1032,11 +1041,11 @@ def test_chunks_in_flight_are_bounded(monkeypatch):
         cfg = SimConfig(zary(2), (0.5, 0.5), height=1, trials=trials, seed=1)
         tracemalloc.start()
         try:
-            results.append(simulate_root(cfg, max_workers=2))
+            results.append(_simulate(cfg, 2))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert results[-1] == simulate_root(cfg, max_workers=1)
+        assert results[-1] == _simulate(cfg, 1)
     assert peaks[1] < peaks[0] + 2**18, f"peaks {peaks}"
 
 
@@ -1049,7 +1058,7 @@ def test_chunks_are_walked_lazily(monkeypatch):
     class Stop(Exception):
         pass
 
-    def first_chunk(self, chunk_index, n_trials, buffers):
+    def first_chunk(self, chunk_index, n_trials, scratch):
         raise Stop
 
     monkeypatch.setattr(_LaneKernel, "chunk", first_chunk)
@@ -1058,8 +1067,76 @@ def test_chunks_are_walked_lazily(monkeypatch):
         tracemalloc.start()
         try:
             with pytest.raises(Stop):
-                simulate_root(cfg, max_workers=workers)
+                _simulate(cfg, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20, f"{workers} workers: peak {peak} bytes"
+
+
+def _record_chunks(monkeypatch, n_trials: int = 64) -> list:
+    """(chunk index, trials, scratch dict, thread) of every later chunk of _LaneKernel, which still runs.
+
+    Chunks hold n_trials trials.
+    """
+    monkeypatch.setattr(mc_sim, "CHUNK_TRIALS", n_trials)
+    calls, chunk = [], _LaneKernel.chunk
+
+    def recorded(self, chunk_index, n_trials, scratch):
+        calls.append((chunk_index, n_trials, scratch, threading.get_ident()))
+        return chunk(self, chunk_index, n_trials, scratch)
+
+    monkeypatch.setattr(_LaneKernel, "chunk", recorded)
+    return calls
+
+
+def test_workers_take_a_static_stride(monkeypatch):
+    """Of 3 workers, worker w runs chunks w, w + 3, ..., each worker passing its own scratch dict to all of them."""
+    calls = _record_chunks(monkeypatch)
+    cfg = SimConfig(zary(2), (0.4, 0.25, 0.35), height=3, trials=6 * 64 + 10, seed=3)
+    got = _simulate(cfg, 3)
+    assert sorted((c, n) for c, n, _, _ in calls) == [(c, 64) for c in range(6)] + [(6, 10)]
+    by_dict = {}
+    for c, _, scratch, thread in calls:
+        by_dict.setdefault(id(scratch), set()).add((c % 3, thread))
+    # three dicts, each used by one residue on one thread, and no residue in two of them; a pool
+    # thread may run a second worker once its first is done
+    assert len(by_dict) == 3 and all(len(v) == 1 for v in by_dict.values())
+    assert sorted(v.pop()[0] for v in by_dict.values()) == [0, 1, 2]
+    assert got == _simulate(cfg, 1)
+
+
+def test_one_worker_runs_on_the_calling_thread(monkeypatch):
+    """One worker starts no pool: every chunk runs on this thread, with one scratch dict."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    calls = _record_chunks(monkeypatch)
+    monkeypatch.setattr(mc_sim, "ThreadPoolExecutor", no_pool)
+    _simulate(SimConfig(zary(2), (0.5, 0.5), height=2, trials=5 * 64, seed=1), 1)
+    assert [c for c, _, _, _ in calls] == list(range(5))
+    assert {(id(scratch), thread) for _, _, scratch, thread in calls} == {(id(calls[0][2]), threading.get_ident())}
+
+
+def test_a_failed_chunk_stops_the_other_workers(monkeypatch):
+    """Once a chunk raises, the other workers start no further chunk, so the error is not held back for the rest."""
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def chunk(self, chunk_index, n_trials, scratch):
+        if chunk_index == 0:
+            raise Stop
+        seen.append(chunk_index)
+        time.sleep(0.002)
+        return np.zeros(2, dtype=np.int64)
+
+    monkeypatch.setattr(mc_sim, "CHUNK_TRIALS", 1)
+    monkeypatch.setattr(_LaneKernel, "chunk", chunk)
+    with pytest.raises(Stop):
+        _simulate(SimConfig(zary(2), (0.5, 0.5), height=1, trials=600, seed=1), 3)
+    # without the stop the other two workers would run all 399 of their chunks
+    assert len(seen) < 100, len(seen)
