@@ -27,13 +27,12 @@ from .dynamics import (
     DynamicsError,
     ScalarMapSpec,
     dominant_profile,
-    full_stepper,
     iterate,
     make_profile,
+    stepper,
     trajectory_to_csv,
     trajectory_to_json_obj,
     uniform_profile,
-    variant_stepper,
 )
 from .mc_sim import SimConfig, SimulationError, simulate_root
 from .offspring import OffspringError, parse_offspring
@@ -101,12 +100,7 @@ def _json_out(obj: dict, out_path: str | None) -> None:
 def cmd_iterate(args) -> int:
     dist = parse_offspring(args.offspring)
     profile = parse_profile(args.profile, args.k)
-    step = (
-        full_stepper(dist)
-        if args.alpha is None
-        else variant_stepper(dist, args.alpha)
-    )
-    traj = iterate(step, profile, max_iters=args.max_iters, tol=args.tol)
+    traj = iterate(stepper(dist, args.alpha), profile, max_iters=args.max_iters, tol=args.tol)
     cfg = _resolved_config(args, ["offspring", "k", "profile", "alpha", "tol", "max_iters", "format"])
     cfg["k"] = profile.k
     if args.format == "csv":
@@ -182,9 +176,7 @@ def cmd_simulate(args) -> int:
         node_budget=args.node_budget,
     )
     result = simulate_root(sim_cfg)
-    step = (
-        full_stepper(dist) if args.alpha is None else variant_stepper(dist, args.alpha)
-    )
+    step = stepper(dist, args.alpha)
     analytic = np.asarray(profile.masses)
     for _ in range(args.height):
         analytic = step(analytic)

@@ -218,16 +218,11 @@ class Trajectory:
         return self.states[-1]
 
 
-def full_stepper(dist: OffspringDistribution):
-    return lambda p: step_full(dist, p)
-
-
-def variant_stepper(dist: OffspringDistribution, alpha: float):
+def stepper(dist: OffspringDistribution, alpha: float | None = None):
+    """The recursion step p -> F(p): step_full when alpha is None, else step_variant at alpha."""
+    if alpha is None:
+        return lambda p: step_full(dist, p)
     return lambda p: step_variant(dist, p, alpha)
-
-
-def scalar_stepper(spec: ScalarMapSpec):
-    return lambda x: scalar_eval(spec, x)
 
 
 def _dist_inf(a, b) -> float:

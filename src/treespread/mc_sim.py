@@ -60,19 +60,23 @@ for the level above.
 
 A config and seed give the same output at any worker count, and the same as
 drawing every substream whole at once.  Of W workers, worker w runs chunks w,
-w + W, w + 2W, ... one at a time, with one scratch dict of buffers that its
-chunks refill in turn.  A chunk streams its nodes up the tree and stores no
-level whole.  A z-ary chunk draws its leaves in blocks of whole subtrees, sized
-in words per bit-plane (LANE_PLANE_WORDS) so that its numpy calls stay long as
-k grows, and with its bytes capped for large k (LANE_BUFFER_WORDS).  Every
+w + W, w + 2W, ... one at a time, with one scratch dict of arrays that its
+chunks refill in turn: an array is kept while it is big enough, else replaced
+by one of the size asked for.  A chunk streams its nodes up the tree and stores
+no level whole.  A z-ary chunk draws its leaves in blocks of whole subtrees,
+sized in words per bit-plane (LANE_PLANE_WORDS) so that its numpy calls stay
+long as k grows, with its bytes capped for large k (LANE_BUFFER_WORDS).  Every
 level of a block is written into the free rows of the block buffers, and every
 depth keeps a carry (a copy) of the children whose parent is not complete yet.
-A GW chunk draws the counts of each depth above the leaf parents twice: a
-top-down pass keeps only the level sizes, and the bottom-up pass re-draws them
-a window at a time, as the levels below produce the children.  The leaf
-parents' counts are drawn once, a block at a time on the way up, and the leaves
-counted so far are checked against the node budget before each block's leaves
-are drawn.
+
+A GW chunk chains one level generator per depth, each yielding node masks in
+count order.  A level draws its counts a block (leaf parents) or a window
+(above) at a time, lays the children out as bit-planes in the lane buffers and
+combines them; the roots become masks in an array of their own.  At the leaf
+parents the children are leaves, drawn once the leaves counted so far pass the
+node budget check; above them they are the next masks of the level below.  The
+counts above the leaf parents are drawn twice: a top-down pass keeps only the
+level sizes, and the bottom-up pass re-draws them as the children arrive.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ SANE = 0  # scalar NodeState for a non-infected node; diseases are 1..k
 
 CHUNK_TRIALS = 4096
 MAX_WORKERS = 64  # the most worker threads TREESPREAD_THREADS may ask for
+MAX_DISEASES = 63  # a node's k diseases and sane bit fit one uint64 mask
 # GW parents per bottom lane block and per window of a level above it; both even, so a
 # depth's count draws split at 64-bit word boundaries
 BLOCK_PARENTS = 1 << 17
@@ -138,6 +143,8 @@ class SimConfig:
             raise SimulationError(str(exc)) from exc
         if not 0.0 < self.node_budget < math.inf:
             raise SimulationError(f"node budget {self.node_budget!r} is not a positive finite number")
+        if self.k > MAX_DISEASES:
+            raise SimulationError(f"k={self.k} too large for the bitmask simulator (max {MAX_DISEASES})")
 
     @property
     def k(self) -> int:
@@ -365,9 +372,7 @@ class _LaneKernel:
 
         n_leaves, per_block = z**height, self.block_positions(words, z)
         n_words = min(per_block, n_leaves) * words
-        buffers = scratch.get("buffers")
-        if buffers is None or buffers.shape[1] < n_words:  # z-ary chunks are all one size but the last
-            buffers = scratch["buffers"] = self.buffers(n_words)
+        buffers = _reuse(scratch, "buffers", n_words, self.buffers)  # z-ary chunks are all one size but the last
         # the levels of a block take turns between the leaf planes' rows and the rows after them
         halves = buffers[: k + 1].reshape(-1), buffers[k + 1 :].reshape(-1)
         carries = [None] * height
@@ -477,8 +482,6 @@ class _GWKernel:
         self.cfg, self.lanes = cfg, _LaneKernel(cfg)
         k = cfg.k
         self.dtype = np.min_scalar_type((1 << (k + 1)) - 1)  # the smallest unsigned dtype with k+1 bits
-        if self.dtype.kind != "u":
-            raise SimulationError(f"k={k} too large for the bitmask simulator (max 63)")
         # spread[i, x]: the 8 lanes of byte x of bit-plane i as bit i of their little-endian masks
         spread = np.zeros((k + 1, 256, 8, self.dtype.itemsize), dtype=np.uint8)
         lane_bits = np.arange(256)[:, None] >> np.arange(8) & 1
@@ -497,7 +500,7 @@ class _GWKernel:
 
         Each depth's child counts are drawn from that depth's substream and only their sum is
         kept; a level over the node budget raises before the next level is drawn.  The leaf
-        parents' counts are left to bottom_level, which draws them once and checks the leaves.
+        parents' counts are left to the bottom-up pass, which draws them once and checks the leaves.
         """
         cfg = self.cfg
         sizes = [n_trials]
@@ -529,45 +532,36 @@ class _GWKernel:
         return atoms, [(z, hi - lo, -(-(hi - lo) // 64))
                        for z, hi, lo in zip(self.zs, at_least, at_least[1:] + [0]) if hi > lo]
 
-    def members(self, atoms: np.ndarray):
-        """Positions of the nodes of each atom present in atoms, atoms ascending, in count order."""
-        return (sel for sel in (np.flatnonzero(atoms == a) for a in range(len(self.zs))) if sel.size)
-
-    def buffers(self, scratch: dict, n_words: int, groups) -> np.ndarray:
-        """The lane buffers of scratch, for n_words words of kids per plane and then the masks of the groups' roots."""
-        n_roots = sum(words for _, _, words in groups)
-        columns = max(n_words, -(-16 * self.dtype.itemsize * n_roots // (self.cfg.k + 1 + len(self.lanes.cuts))))
-        return _reuse(scratch, "buffers", columns, self.lanes.buffers)
-
-    def combine_groups(self, kids: np.ndarray, atoms: np.ndarray, groups, coins, buffers) -> np.ndarray:
+    def combine_groups(self, kids: np.ndarray, atoms: np.ndarray, groups, coins, scratch: dict) -> np.ndarray:
         """Masks, in count order, of a block's or window's parents, whose child counts are zs[atoms].
 
         kids holds k+1 bit-planes of one row of words: for each (z, n, words) of groups, atom
         z's n parents, in count order, are lanes 0..n-1 of z child positions of `words` words,
         and the groups lie end to end.  Each group combines on its own, in turn, with
-        coins(need) for the retention rule; the roots of all of them become masks in buffers,
-        which must hold 16 words per root word and byte of a mask, and return to count order.
+        coins(need) for the retention rule; the roots of all of them become masks and return
+        to count order.
         """
         roots, offset = [], 0
         for z, n, words in groups:
             group = kids[:, offset : offset + z * words].reshape(-1, z, words)
             roots.append(self.lanes.combine(group, z, coins, _valid_words(n))[:, 0])
             offset += z * words
-        masks = self.masks(np.concatenate(roots, axis=1), buffers)
+        masks = self.masks(np.concatenate(roots, axis=1), scratch)
         parents, offset = np.empty(atoms.size, dtype=self.dtype), 0
-        for sel, (_, n, words) in zip(self.members(atoms), groups):
-            parents[sel] = masks[offset : offset + n]
+        for z, n, words in groups:
+            parents[np.flatnonzero(atoms == self.zs.index(z))] = masks[offset : offset + n]
             offset += 64 * words
         return parents
 
-    def planes(self, kids: np.ndarray, groups, scratch: dict) -> np.ndarray:
+    def planes(self, below: _Taker, groups, scratch: dict) -> np.ndarray:
         """k+1 bit-planes of a window's kids, laid out for combine_groups, in the lane buffers of scratch.
 
-        kids are masks in count order: the parents of the smallest atom z, in count order, take
-        the first z n_z kids, z consecutive kids each; those of the next atom the next ones, and
-        so on.  Each group's kids are transposed into its lanes, zero-padded, and bit i of each
-        lane's mask becomes its bit in plane i: the inverse of masks.
+        The kids are the next masks of below, in count order: the parents of the smallest atom
+        z, in count order, take the first z n_z kids, z consecutive kids each; those of the next
+        atom the next ones, and so on.  Each group's kids are transposed into its lanes,
+        zero-padded, and bit i of each lane's mask becomes its bit in plane i: the inverse of masks.
         """
+        kids = below.take(sum(z * n for z, n, _ in groups))
         n_words = sum(z * words for z, _, words in groups)
         lanes = _reuse(scratch, "lanes", 64 * n_words, partial(np.empty, dtype=self.dtype))[: 64 * n_words]
         taken = offset = 0
@@ -577,72 +571,59 @@ class _GWKernel:
             rows[:, n:] = 0
             taken, offset = taken + z * n, offset + rows.size
         flags = _reuse(scratch, "flags", lanes.size, partial(np.empty, dtype=bool))[: lanes.size]
-        planes = self.buffers(scratch, n_words, groups)[: self.cfg.k + 1, :n_words]
+        planes = _reuse(scratch, "buffers", n_words, self.lanes.buffers)[: self.cfg.k + 1, :n_words]
         for i, plane in enumerate(planes):
             np.bitwise_and(lanes, 1 << i, out=flags, casting="unsafe")
             plane[...] = np.packbits(flags, bitorder="little").view("<u8")
         return planes
 
-    def masks(self, planes: np.ndarray, buffers: np.ndarray) -> np.ndarray:
-        """Masks of the lanes of planes (k+1 rows of words): bit i of a lane's mask is its bit in plane i.
-
-        The masks are written to the lane buffers, which must hold 16 words per word of planes
-        and byte of a mask, and so must not hold planes.
-        """
+    def masks(self, planes: np.ndarray, scratch: dict) -> np.ndarray:
+        """Masks of the lanes of planes (k+1 rows of words) in scratch: bit i of a lane's mask is its bit in plane i."""
         size, n = self.dtype.itemsize, 8 * planes.shape[1]
-        out, tmp = buffers.reshape(-1)[: 2 * n * size].reshape(2, n, size)
+        words = _reuse(scratch, "masks", 2 * n * size, partial(np.empty, dtype=np.uint64))
+        out, tmp = words[: 2 * n * size].reshape(2, n, size)
         lane_bytes = planes.astype("<u8", copy=False).view(np.uint8)
         np.take(self.spread[0], lane_bytes[0], axis=0, out=out)
         for i in range(1, len(planes)):
             out |= np.take(self.spread[i], lane_bytes[i], axis=0, out=tmp)
         return out.reshape(-1).view(self.dtype.newbyteorder("<"))
 
-    def bottom_level(self, chunk_index: int, n_parents: int, n_trials: int, scratch: dict):
-        """Masks of the chunk's depth-(height-1) nodes in count order, BLOCK_PARENTS at a time.
+    def level(self, chunk_index: int, depth: int, n_parents: int, size: int, kids, scratch: dict):
+        """Masks of the chunk's depth-`depth` nodes in count order, `size` parents at a time.
 
-        A block's groups are the lanes of its leaf positions, whose words are one row of leaves
-        drawn at once, each word with its group's valid lanes; combine_groups does the rest.
-        The leaves counted so far are checked against the node budget block by block.
-        """
-        cfg, lanes, height = self.cfg, self.lanes, self.cfg.height
-        count_bits = _bits(cfg.seed, chunk_index, height - 1, _COUNTS)
-        leaf_draw = _plane_draws(cfg.seed, chunk_index, height, _LEAVES)
-        refine = _refine_draws(cfg.seed, chunk_index, height)
-        coins, n_leaves = lanes.coin_draws(chunk_index, height - 1), 0
-        for start in range(0, n_parents, BLOCK_PARENTS):
-            atoms, groups = self.atoms(count_bits, min(BLOCK_PARENTS, n_parents - start))
-            n_leaves += sum(z * n for z, n, _ in groups)
-            self.check_budget(n_leaves, height, n_trials)
-            valid = np.concatenate([np.tile(_valid_words(n), z) for z, n, _ in groups])
-            buffers = self.buffers(scratch, valid.size, groups)
-            leaves = lanes.leaves(leaf_draw, refine, 1, valid, buffers)[:, 0]
-            yield self.combine_groups(leaves, atoms, groups, coins, buffers)
-
-    def upper_level(self, chunk_index: int, depth: int, n_parents: int, below, scratch: dict):
-        """Masks of the chunk's depth-`depth` nodes in count order, from those one level below.
-
-        Windows of WINDOW_PARENTS parents in count order take their children from below, a
-        sequence of arrays in count order, as planes says; combine_groups does the rest.
+        Each block or window draws its parents' counts, kids(groups) gives the bit-planes of
+        their children, laid out for combine_groups, and combine_groups does the rest.
         """
         count_bits = _bits(self.cfg.seed, chunk_index, depth, _COUNTS)
-        coins, kids = self.lanes.coin_draws(chunk_index, depth), _Taker(below)
-        for start in range(0, n_parents, WINDOW_PARENTS):
-            atoms, groups = self.atoms(count_bits, min(WINDOW_PARENTS, n_parents - start))
-            planes = self.planes(kids.take(sum(z * n for z, n, _ in groups), self.dtype), groups, scratch)
-            yield self.combine_groups(planes, atoms, groups, coins, scratch["buffers"])
+        coins = self.lanes.coin_draws(chunk_index, depth)
+        for start in range(0, n_parents, size):
+            atoms, groups = self.atoms(count_bits, min(size, n_parents - start))
+            yield self.combine_groups(kids(groups), atoms, groups, coins, scratch)
 
     def chunk(self, chunk_index: int, n_trials: int, scratch: dict) -> np.ndarray:
         """Root-state counts (k diseases then sane) for one chunk of trials, with the arrays of scratch.
 
-        A top-down pass keeps only the level sizes above the leaves.  The bottom-up pass
-        chains bottom_level and one upper_level per depth, each a generator of node masks in
-        count order; they reuse scratch, since the levels run one block or window at a time.
+        The leaf parents come BLOCK_PARENTS at a time and the levels above WINDOW_PARENTS at a
+        time, so every level reuses the arrays of scratch.
         """
-        cfg, height = self.cfg, self.cfg.height
+        cfg, lanes, height = self.cfg, self.lanes, self.cfg.height
         sizes = self.level_sizes(chunk_index, n_trials)
-        nodes = self.bottom_level(chunk_index, sizes[height - 1], n_trials, scratch)
+        leaf_draw = _plane_draws(cfg.seed, chunk_index, height, _LEAVES)
+        refine = _refine_draws(cfg.seed, chunk_index, height)
+        n_leaves = 0
+
+        def leaves(groups):
+            nonlocal n_leaves
+            n_leaves += sum(z * n for z, n, _ in groups)
+            self.check_budget(n_leaves, height, n_trials)
+            valid = np.concatenate([np.tile(_valid_words(n), z) for z, n, _ in groups])
+            buffers = _reuse(scratch, "buffers", valid.size, lanes.buffers)
+            return lanes.leaves(leaf_draw, refine, 1, valid, buffers)[:, 0]
+
+        nodes = self.level(chunk_index, height - 1, sizes[height - 1], BLOCK_PARENTS, leaves, scratch)
         for depth in range(height - 2, -1, -1):
-            nodes = self.upper_level(chunk_index, depth, sizes[depth], nodes, scratch)
+            kids = partial(self.planes, _Taker(nodes), scratch=scratch)
+            nodes = self.level(chunk_index, depth, sizes[depth], WINDOW_PARENTS, kids, scratch)
         roots = np.concatenate(list(nodes))
         infected = [int((roots == 1 << i).sum()) for i in range(cfg.k)]
         return np.array(infected + [n_trials - sum(infected)], dtype=np.int64)
@@ -654,22 +635,21 @@ class _Taker:
     def __init__(self, arrays):
         self.arrays, self.rest = iter(arrays), None
 
-    def take(self, n: int, dtype) -> np.ndarray:
-        """The next n nodes, as a new array."""
-        out, filled = np.empty(n, dtype=dtype), 0
-        while filled < n:
+    def take(self, n: int) -> np.ndarray:
+        """The next n (at least one) nodes, as a new array of the arrays' dtype."""
+        parts = []
+        while n:
             if self.rest is None or not self.rest.size:
                 self.rest = next(self.arrays)
-            m = min(n - filled, self.rest.size)
-            out[filled : filled + m], self.rest = self.rest[:m], self.rest[m:]
-            filled += m
-        return out
+            parts.append(self.rest[:n])
+            self.rest, n = self.rest[n:], n - parts[-1].size
+        return np.concatenate(parts)
 
 
 def _reuse(scratch: dict, name: str, n: int, make) -> np.ndarray:
-    """scratch[name] if its last axis holds n, else make(n) with an eighth to spare, kept there."""
+    """scratch[name] while its last axis holds n, else make(n), kept there."""
     if name not in scratch or scratch[name].shape[-1] < n:
-        scratch[name] = make(n * 9 // 8)
+        scratch[name] = make(n)
     return scratch[name]
 
 

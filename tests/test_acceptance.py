@@ -35,7 +35,7 @@ from treespread import (
     zary,
     zary_map,
 )
-from treespread.dynamics import full_stepper, variant_stepper
+from treespread.dynamics import stepper
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
@@ -72,7 +72,7 @@ def criterion(num, desc):
 def test_01_binary_tree_closed_form():
     with criterion(1, "binary tree converges to 1/(2k-1) per disease, k=2..6"):
         for k in range(2, 7):
-            traj = iterate(full_stepper(zary(2)), uniform_profile(k), tol=1e-12)
+            traj = iterate(stepper(zary(2)), uniform_profile(k), tol=1e-12)
             assert traj.stop_reason == "converged"
             assert traj.iterations <= 100_000
             target = 1.0 / (2 * k - 1)
@@ -84,7 +84,7 @@ def test_01_binary_tree_closed_form():
 def test_02_single_dominant_disease_wins():
     with criterion(2, "strictly dominant disease spreads to the root a.s."):
         for dist in (zary(2), FIG_FE):
-            traj = iterate(full_stepper(dist), np.array([0.5, 0.2, 0.3]))
+            traj = iterate(stepper(dist), np.array([0.5, 0.2, 0.3]))
             assert traj.final[0] >= 1.0 - 1e-6
 
 
@@ -160,7 +160,7 @@ def test_07_nonuniform_spectrum_and_convergence():
                     assert -1.0 < lam < 1.0
                 x_bar = classify_uniform(z, i).x_bar
                 target = [x_bar] * i + [0.0] * (k - i) + [1.0 - i * x_bar]
-                traj = iterate(full_stepper(zary(z)), dominant_profile(k, i), tol=1e-12)
+                traj = iterate(stepper(zary(z)), dominant_profile(k, i), tol=1e-12)
                 for got, want in zip(traj.final, target):
                     assert abs(got - want) <= 1e-8
 
@@ -207,12 +207,12 @@ def test_09_variant_closed_forms():
         assert np.max(np.abs(out - p)) <= 1e-12
 
         # alpha=1/2 on the binary tree converges to (p1-p2, 0, 1-p1+p2)
-        traj = iterate(variant_stepper(zary(2), 0.5), np.array([0.5, 0.2, 0.3]), tol=1e-12)
+        traj = iterate(stepper(zary(2), 0.5), np.array([0.5, 0.2, 0.3]), tol=1e-12)
         for got, want in zip(traj.final, (0.3, 0.0, 0.7)):
             assert abs(got - want) <= 1e-8
 
         # alpha above 1/E[N] with strict dominance drives p1 to 1
-        traj = iterate(variant_stepper(zary(3), 0.5), np.array([0.4, 0.3, 0.3]))
+        traj = iterate(stepper(zary(3), 0.5), np.array([0.4, 0.3, 0.3]))
         assert traj.final[0] >= 1.0 - 1e-6
 
 

@@ -215,13 +215,13 @@ class TestBadInput:
         assert err == f"error: {sub} needs --k\n" and out == ""
 
     def test_gw_past_63_diseases_exits_config(self, capsys):
-        """The Galton-Watson kernel keeps a node's diseases and sane bit in one unsigned integer of at most 64 bits."""
-        law = json.dumps({"masses": [[2, 0.5], [3, 0.5]]})
-        code, out, err = run(
-            capsys, "simulate", "--offspring", law, "--profile", "uniform:64", "--height", "2", "--trials", "10"
-        )
-        assert code == EXIT_CONFIG
-        assert err.startswith("error:") and "max 63" in err and out == ""
+        """Every simulated tree, GW or z-ary, keeps a node's diseases and sane bit in one uint64 mask."""
+        for law in (json.dumps({"masses": [[2, 0.5], [3, 0.5]]}), "zary:2"):
+            code, out, err = run(
+                capsys, "simulate", "--offspring", law, "--profile", "uniform:64", "--height", "2", "--trials", "10"
+            )
+            assert code == EXIT_CONFIG, law
+            assert err.startswith("error:") and "max 63" in err and out == "", law
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -26,11 +26,9 @@ from treespread import (
     zary_map,
 )
 from treespread.dynamics import (
-    full_stepper,
-    scalar_stepper,
+    stepper,
     trajectory_to_csv,
     trajectory_to_json_obj,
-    variant_stepper,
 )
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
@@ -61,7 +59,7 @@ class TestProfiles:
     def test_iterate_rejects_bad_tol(self):
         for tol in (math.nan, -1.0, 0.0, math.inf):
             with pytest.raises(DynamicsError):
-                iterate(full_stepper(zary(2)), uniform_profile(2), max_iters=5, tol=tol)
+                iterate(stepper(zary(2)), uniform_profile(2), max_iters=5, tol=tol)
 
     def test_make_profile_rejects_increasing_order(self):
         with pytest.raises(DynamicsError):
@@ -113,7 +111,7 @@ class TestStepFull:
     def test_rejects_non_finite(self, bad):
         """A NaN passed every sign and sum test and came out as a NaN state; iterate then ran to max_iters."""
         p = [bad, 0.5, 0.5]
-        for step in (full_stepper(zary(2)), variant_stepper(zary(2), 0.5)):
+        for step in (stepper(zary(2)), stepper(zary(2), 0.5)):
             with pytest.raises(DynamicsError):
                 step(p)
             with pytest.raises(DynamicsError):
@@ -293,35 +291,35 @@ def test_scalar_map_stays_in_domain(x, z):
 
 class TestIterate:
     def test_converged_binary_uniform(self):
-        traj = iterate(full_stepper(zary(2)), uniform_profile(2))
+        traj = iterate(stepper(zary(2)), uniform_profile(2))
         assert traj.stop_reason == "converged"
         assert np.allclose(traj.final, [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
     def test_period2_detection(self):
-        traj = iterate(scalar_stepper(zary_map(6, 2)), 0.3)
+        traj = iterate(lambda x: scalar_eval(zary_map(6, 2), x), 0.3)
         assert traj.stop_reason == "period2"
         assert abs(traj.states[-1] - traj.states[-3]) < traj.tol
 
     def test_max_iters(self):
-        traj = iterate(scalar_stepper(zary_map(6, 2)), 0.3, max_iters=5)
+        traj = iterate(lambda x: scalar_eval(zary_map(6, 2), x), 0.3, max_iters=5)
         assert traj.stop_reason == "max_iters"
         assert traj.iterations == 5
 
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_needs_a_positive_budget(self, max_iters):
         with pytest.raises(DynamicsError, match="max_iters"):
-            iterate(full_stepper(zary(2)), uniform_profile(2), max_iters=max_iters)
+            iterate(stepper(zary(2)), uniform_profile(2), max_iters=max_iters)
 
     def test_variant_alpha_one_matches_standard(self):
         p = make_profile([0.5, 0.2, 0.3])
-        t1 = iterate(full_stepper(zary(2)), p, max_iters=20)
-        t2 = iterate(variant_stepper(zary(2), 1.0), p, max_iters=20)
+        t1 = iterate(stepper(zary(2)), p, max_iters=20)
+        t2 = iterate(stepper(zary(2), 1.0), p, max_iters=20)
         assert np.array_equal(t1.final, t2.final)
 
 
 class TestSerialization:
     def test_csv_vector(self):
-        traj = iterate(full_stepper(zary(2)), uniform_profile(2), max_iters=3)
+        traj = iterate(stepper(zary(2)), uniform_profile(2), max_iters=3)
         text = trajectory_to_csv(traj)
         lines = text.strip().split("\n")
         assert lines[0] == "n,p_1,p_2,p_3"
@@ -331,12 +329,12 @@ class TestSerialization:
         assert val == traj.states[0][0]
 
     def test_csv_scalar(self):
-        traj = iterate(scalar_stepper(zary_map(2, 2)), 0.2, max_iters=4)
+        traj = iterate(lambda x: scalar_eval(zary_map(2, 2), x), 0.2, max_iters=4)
         lines = trajectory_to_csv(traj).strip().split("\n")
         assert lines[0] == "n,x"
 
     def test_json_obj(self):
-        traj = iterate(full_stepper(zary(2)), uniform_profile(2), max_iters=3)
+        traj = iterate(stepper(zary(2)), uniform_profile(2), max_iters=3)
         obj = trajectory_to_json_obj(traj)
         assert obj["stop_reason"] == traj.stop_reason
         assert obj["states"][0] == [1 / 3, 1 / 3, 1 / 3]

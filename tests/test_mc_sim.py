@@ -22,7 +22,7 @@ from treespread import (
     zary,
 )
 from treespread import mc_sim
-from treespread.mc_sim import CHUNK_TRIALS, LANE_EAGER_BITS, _GWKernel, _LaneKernel
+from treespread.mc_sim import CHUNK_TRIALS, LANE_EAGER_BITS, _GWKernel, _LaneKernel, _Taker
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
@@ -721,7 +721,7 @@ def test_level_combine_exhaustive(z, k):
         tuples += [tuple(t) for t in rng.integers(0, k + 1, size=(len(tuples) // 2, other))]
     parents = [tuples[i] for i in rng.permutation(len(tuples))]  # count order
     kernel, atoms, groups, kids = _window(parents, k, rng)
-    got = kernel.combine_groups(kids, atoms, groups, None, kernel.buffers({}, kids.shape[1], groups))
+    got = kernel.combine_groups(kids, atoms, groups, None, {})
     states = [combine_children([_state(i, k) for i in t]) for t in parents]
     want = _masks(k)[0][[k if s == SANE else s - 1 for s in states]]
     assert got.dtype == want.dtype == (np.uint16 if k == 8 else np.uint8)
@@ -755,7 +755,7 @@ def test_level_combine_variant_with_injected_coins(z, k):
         assert not _unpack(need)[..., n:].any()
         return need & pattern
 
-    got = kernel.combine_groups(kids, atoms, groups, inject, kernel.buffers({}, kids.shape[1], groups))
+    got = kernel.combine_groups(kids, atoms, groups, inject, {})
     want = []
     for t, c in cases:
         states = [_state(i, k) for i in t]
@@ -791,18 +791,21 @@ def test_planes_masks_round_trip(k, n):
     """Masks of n lanes turn into k+1 bit-planes, zero-padded to whole words, and back unchanged.
 
     The scratch arrays come from a larger window of all-ones masks, so stale lanes would show.
+    masks writes to an array of its own, so the planes stay as they were.
     """
     kernel = _GWKernel(SimConfig(FIG_FE, _profile("uniform", k), height=1, trials=1))
     assert kernel.dtype == (np.uint16 if k == 8 else np.uint8)
     words, scratch = -(-n // 64), {}
-    kernel.planes(np.full(256, (1 << (k + 1)) - 1, dtype=kernel.dtype), [(2, 128, 2)], scratch)
+    ones = _Taker([np.full(256, (1 << (k + 1)) - 1, dtype=kernel.dtype)])
+    kernel.masks(kernel.planes(ones, [(2, 128, 2)], scratch), scratch)
     masks = np.random.default_rng(n).integers(0, 1 << (k + 1), size=n).astype(kernel.dtype)
-    planes = kernel.planes(masks, [(1, n, words)], scratch)
+    planes = kernel.planes(_Taker([masks]), [(1, n, words)], scratch)
     assert planes.shape == (k + 1, words)
     bits = _unpack(planes)
     assert np.array_equal(bits[:, :n], [(masks >> i & 1).astype(bool) for i in range(k + 1)])
     assert not bits[:, n:].any()
-    assert np.array_equal(kernel.masks(planes.copy(), scratch["buffers"])[:n], masks)  # masks overwrites the buffers
+    assert np.array_equal(kernel.masks(planes, scratch)[:n], masks)
+    assert np.array_equal(_unpack(planes), bits)  # masks leaves planes unchanged
 
 
 # --- lane kernel oracles: chosen inputs packed into 64-trial words ---------------------
