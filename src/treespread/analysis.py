@@ -13,7 +13,7 @@ which candidate each even-index subsequence settles on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,25 +39,12 @@ class FixedPointReport:
     lower_bound: float | None = None
     upper_bound: float | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "x_bar": self.x_bar,
-            "multiplier": self.multiplier,
-            "classification": self.classification,
-            "residual": self.residual,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-        }
-
 
 @dataclass(frozen=True)
 class CriticalPointReport:
     x_hat: float
     f_at_x_hat: float
     x_star: float | None  # inflection point; undefined for z=2
-
-    def to_json_obj(self) -> dict:
-        return {"x_hat": self.x_hat, "f_at_x_hat": self.f_at_x_hat, "x_star": self.x_star}
 
 
 @dataclass(frozen=True)
@@ -66,14 +53,6 @@ class OrbitReport:
     points: tuple[float, ...]  # ascending
     multiplier: float
     stable: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "period": self.period,
-            "points": list(self.points),
-            "multiplier": self.multiplier,
-            "stable": self.stable,
-        }
 
 
 @dataclass
@@ -214,19 +193,6 @@ def nonuniform_spectrum(z: int, k: int, i: int) -> list[float]:
     return [fixed.multiplier] + [lam2] * (k - i)
 
 
-def _x_hat_right(spec: ScalarMapSpec, x_hat: float) -> float:
-    """sup{x : f(x) = x_hat}; equals 1/k when f(1/k) >= x_hat, and x_hat when f(x_hat) <= x_hat."""
-    hi = 1.0 / spec.k
-    if scalar_eval(spec, hi) >= x_hat:
-        return hi
-    # z = 2: the maximum is the fixed point, f(x_hat) = x_hat up to rounding, so no x right of it
-    # maps to x_hat and f(x) - x_hat has no sign change to bisect
-    if scalar_eval(spec, x_hat) <= x_hat:
-        return x_hat
-    # f is decreasing right of x_hat, so f(x) - x_hat changes sign once there
-    return float(_bisect(lambda x: scalar_eval(spec, x) - x_hat, x_hat, hi))
-
-
 def _iter_map(spec: ScalarMapSpec, x, times: int):
     for _ in range(times):
         x = scalar_eval(spec, x)
@@ -246,23 +212,19 @@ def _grid_roots(g, lo: float, hi: float) -> list[float]:
 def find_orbit(spec: ScalarMapSpec, period: int) -> OrbitReport | None:
     """Locate a period-2 or period-4 orbit of the scalar map, or None if absent.
 
-    Period 2 is searched on (x_hat, x_hat_r), where all fixed points of f^2
-    live; period 4 falls outside that bracket in the observed cases, so the
-    scan covers the whole domain, excluding period-1 and period-2 points.
+    Both periods scan f^p(x) - x over the whole domain (1e-12, 1/k] and drop the
+    roots within ORBIT_EXCLUSION of a lower-period point: the fixed point, and
+    for period 4 every fixed point of f^2 as well.  A 2-cycle can have a point
+    left of the maximum x_hat (f_{8,2}) or right of x_hat's preimage (f_{7,3}),
+    so no bracket narrower than the domain holds them all.
     """
     if period not in (2, 4):
         raise DynamicsError(f"orbit period must be 2 or 4, got {period}")
     if not spec.is_zary:
         raise DynamicsError("orbit search is implemented for z-ary maps")
-    z, k = spec.dist.z_value, spec.k
-    x_bar = find_fixed_point(spec).x_bar
-    exclude = [x_bar]
-
-    if period == 2:
-        x_hat = critical_points(z, k).x_hat
-        lo, hi = x_hat, _x_hat_right(spec, x_hat)
-    else:
-        lo, hi = 1e-12, 1.0 / k
+    lo, hi = 1e-12, 1.0 / spec.k
+    exclude = [find_fixed_point(spec).x_bar]
+    if period == 4:
         # fixed points of f^2 (including any 2-cycle) are excluded from the f^4 scan
         exclude += _grid_roots(lambda x: _iter_map(spec, x, 2) - x, lo, hi)
 
@@ -296,9 +258,8 @@ def check_orbit_conditions(z: int, i: int) -> tuple[bool, bool, bool]:
     (3) the right endpoint maps below the maximum, f(1/i) < x_hat.
     """
     spec = zary_map(z, i)
-    x_bar = find_fixed_point(spec).x_bar
     x_hat = critical_points(z, i).x_hat
-    cond1 = scalar_deriv(spec, x_bar, 1) < -1.0
+    cond1 = find_fixed_point(spec).multiplier < -1.0
     cond2 = _iter_map(spec, x_hat, 2) > x_hat
     cond3 = scalar_eval(spec, 1.0 / i) < x_hat
     return (cond1, cond2, cond3)
@@ -318,13 +279,15 @@ def basin_classify(
 
     Membership requires staying within BASIN_BALL of a candidate (orbit point or the
     fixed point) for BASIN_CONFIRM_STEPS consecutive even steps, which guards
-    against slow transit past the repelling fixed point.
+    against slow transit past the repelling fixed point.  The orbit must be
+    attracting: no start settles on a repelling one, so every start would run
+    all max_iters steps and end unresolved.
     """
     _check_max_iters(max_iters)
     if orbit is None:
         orbit = find_orbit(spec, 2)
-    if orbit is None:
-        raise DynamicsError("basin classification needs a period-2 orbit; none found")
+    if orbit is None or not orbit.stable:
+        raise DynamicsError("basin classification needs an attracting period-2 orbit; none found")
     names = ["orbit_left", "orbit_right", "fixed_point", "unresolved"]
     # label i < 3 means within BASIN_BALL of candidate i; -1 means none (and, as a verdict, unresolved)
     targets = np.array([orbit.points[0], orbit.points[-1], find_fixed_point(spec).x_bar])
@@ -357,13 +320,13 @@ def basin_classify(
 
 def analysis_bundle(spec: ScalarMapSpec, i: int | None = None) -> dict:
     """One JSON-ready report combining every analysis product for a spec."""
-    report = {"fixed_point": find_fixed_point(spec).to_json_obj()}
+    fixed = find_fixed_point(spec)
+    report = {"fixed_point": asdict(fixed)}
     if spec.is_zary:
         z, k = spec.dist.z_value, spec.k
         if k >= 2:
-            lo, hi = framing_bounds(z, k)
-            report["framing_bounds"] = {"lower": lo, "upper": hi}
-        report["critical_points"] = critical_points(z, k).to_json_obj()
+            report["framing_bounds"] = {"lower": fixed.lower_bound, "upper": fixed.upper_bound}
+        report["critical_points"] = asdict(critical_points(z, k))
         report["asymptotic_multiplier"] = asymptotic_multiplier(z)
         if z >= 3:
             c1, c2, c3 = check_orbit_conditions(z, i if i is not None else k)

@@ -6,7 +6,7 @@ fixed protocol so CI scripts can assert results directly:
     0  success (including converged / period2 stops)
     1  invalid configuration, including usage errors and unreadable --config files
     2  iteration budget exhausted, or a simulate z-score above 4
-    3  legitimate absence (no orbit of the requested period)
+    3  legitimate absence (no orbit of the requested period; for basin, no attracting 2-cycle)
 
 Every output embeds the fully resolved configuration, making runs
 self-describing; identical config + seed gives byte-identical output.
@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -136,7 +137,7 @@ def cmd_orbit(args) -> int:
     if orbit is None:
         _json_out({"orbit": None, "config": cfg}, args.out)
         return EXIT_ABSENT
-    obj = orbit.to_json_obj()
+    obj = asdict(orbit)
     obj["config"] = cfg
     _json_out(obj, args.out)
     return EXIT_OK
@@ -147,8 +148,8 @@ def cmd_basin(args) -> int:
     if not 1 <= args.starts <= MAX_STARTS:
         raise ConfigError(f"--starts must be between 1 and {MAX_STARTS}, got {args.starts}")
     orbit = analysis.find_orbit(spec, 2)
-    if orbit is None:
-        print("no period-2 orbit; nothing to classify", file=sys.stderr)
+    if orbit is None or not orbit.stable:
+        print("no attracting period-2 orbit; nothing to classify", file=sys.stderr)
         return EXIT_ABSENT
     rng = np.random.default_rng(args.seed)
     starts = (rng.random(args.starts) * (1.0 / args.k)).tolist()
@@ -157,7 +158,7 @@ def cmd_basin(args) -> int:
     body = "# config: " + json.dumps(cfg, sort_keys=True) + "\n" + report.to_csv()
     _emit(body, args.out)
     summary = report.to_json_obj()
-    summary["orbit"] = orbit.to_json_obj()
+    summary["orbit"] = asdict(orbit)
     summary["config"] = cfg
     print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
     return EXIT_OK
@@ -201,7 +202,7 @@ def cmd_simulate(args) -> int:
     else:
         obj = {
             "analytic": [float(v) for v in analytic],
-            "empirical": result.to_json_obj(),
+            "empirical": asdict(result),
             "z_scores": z_scores,
             "config": cfg,
         }

@@ -157,9 +157,6 @@ class SimResult:
     stderr: tuple[float, ...]  # binomial standard error per coordinate
     trials: int
 
-    def to_json_obj(self) -> dict:
-        return {"masses": list(self.masses), "stderr": list(self.stderr), "trials": self.trials}
-
 
 def combine_children(states, alpha: float | None = None, rng=None):
     """Parent state from a list of child NodeStates (ints, 0 = sane).

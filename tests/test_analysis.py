@@ -136,10 +136,7 @@ class TestOrbits:
 
     @pytest.mark.parametrize("k", range(1, 25))
     def test_binary_tree_has_no_period2_orbit(self, k):
-        """For z = 2 the maximum of f is its fixed point, where f(x_hat) - x_hat is 0 up to rounding.
-
-        A bisection right of x_hat then found no sign change and raised for k = 4, 6, 8, 11, ...
-        """
+        """For z = 2 the only root of f(f(x)) - x on the domain is the fixed point, which is excluded."""
         assert find_orbit(zary_map(2, k), 2) is None
 
     def test_period4_z12(self):
@@ -175,6 +172,12 @@ class TestBasins:
     def test_no_orbit_raises(self):
         with pytest.raises(DynamicsError):
             basin_classify(zary_map(3, 2), [0.1])
+
+    def test_repelling_orbit_raises(self):
+        # the only 2-cycle of f_{12,2} is repelling, so no start could settle on it
+        assert not find_orbit(zary_map(12, 2), 2).stable
+        with pytest.raises(DynamicsError, match="attracting"):
+            basin_classify(zary_map(12, 2), [0.1])
 
     @pytest.mark.parametrize("max_iters", [0, -1])
     def test_needs_a_positive_budget(self, max_iters):
@@ -219,6 +222,63 @@ def test_lockstep_basin_matches_per_start_loop(max_iters, n_starts):
     assert all(type(n) is int for n in report.iterations)
     if max_iters == 40:
         assert 0 < report.verdicts.count("unresolved") < len(starts)
+
+
+# --- reference 2-cycle scan: plain numpy and scalar bisection, sharing no code with the package ---
+
+REF_CELLS = 20_000
+
+
+def _ref_f(z, k, x):
+    """f_{z,k}(x) = G(1 - (k-1)x) - G(1 - kx) with G(s) = s^z."""
+    return (1 - (k - 1) * x) ** z - (1 - k * x) ** z
+
+
+def _ref_df(z, k, x):
+    return k * z * (1 - k * x) ** (z - 1) - (k - 1) * z * (1 - (k - 1) * x) ** (z - 1)
+
+
+def _ref_bisect(g, a, b):
+    ga = g(a)
+    while True:
+        m = 0.5 * (a + b)
+        if m in (a, b):
+            return m
+        gm = g(m)
+        if gm == 0.0:
+            return m
+        if (gm > 0) == (ga > 0):
+            a, ga = m, gm
+        else:
+            b = m
+
+
+def _ref_roots(g, hi):
+    """Grid points of (0, hi] where g vanishes, and a root in every cell where it changes sign."""
+    x = np.linspace(0.0, hi, REF_CELLS + 1)[1:]
+    v = g(x)
+    change = np.flatnonzero((v[:-1] != 0) & (v[1:] != 0) & ((v[:-1] > 0) != (v[1:] > 0)))
+    return x[v == 0].tolist() + [_ref_bisect(g, float(x[i]), float(x[i + 1])) for i in change]
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+@pytest.mark.parametrize("z", range(2, 13))
+def test_period2_matches_reference_scan(z, k):
+    """find_orbit finds a 2-cycle exactly when f(f(x)) - x has a root away from every root of f(x) - x."""
+    fixed = _ref_roots(lambda x: _ref_f(z, k, x) - x, 1.0 / k)
+    two = [
+        r
+        for r in _ref_roots(lambda x: _ref_f(z, k, _ref_f(z, k, x)) - x, 1.0 / k)
+        if all(abs(r - e) > 1e-6 for e in fixed)
+    ]
+    orbit = find_orbit(zary_map(z, k), 2)
+    assert (orbit is None) == (not two), (orbit, two)
+    if orbit is None:
+        return
+    p, q = orbit.points
+    assert abs(_ref_f(z, k, p) - q) <= 1e-12 and abs(_ref_f(z, k, q) - p) <= 1e-12
+    assert all(min(abs(x - r) for r in two) <= 1e-9 for x in (p, q))
+    assert orbit.stable == (abs(_ref_df(z, k, p) * _ref_df(z, k, q)) < 1)
 
 
 class TestBundle:

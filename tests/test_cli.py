@@ -122,6 +122,13 @@ class TestOrbit:
         assert code == EXIT_ABSENT
         assert json.loads(out)["orbit"] is None
 
+    def test_cycle_left_of_the_maximum(self, capsys):
+        # the attracting 2-cycle {0.0821, 0.2658} of f_{8,2} has its left point below x_hat
+        code, out, _ = run(capsys, "orbit", "--offspring", "zary:8", "--k", "2")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert obj["stable"] is True and len(obj["points"]) == 2
+
 
 class TestBasin:
     def test_small_sweep(self, capsys, tmp_path):
@@ -140,6 +147,18 @@ class TestBasin:
     def test_no_orbit(self, capsys):
         code, _, _ = run(capsys, "basin", "--offspring", "zary:3", "--k", "2", "--starts", "5")
         assert code == EXIT_ABSENT
+
+    def test_cycle_left_of_the_maximum(self, capsys):
+        code, _, err = run(capsys, "basin", "--offspring", "zary:8", "--k", "2", "--starts", "200", "--seed", "1")
+        assert code == EXIT_OK
+        fractions = json.loads(err)["fractions"]
+        assert fractions["orbit_left"] + fractions["orbit_right"] >= 0.99
+
+    def test_repelling_orbit_is_absent(self, capsys):
+        # f_{12,2} has a 2-cycle, but a repelling one: no start could settle on it
+        code, _, err = run(capsys, "basin", "--offspring", "zary:12", "--k", "2", "--starts", "5")
+        assert code == EXIT_ABSENT
+        assert "attracting" in err
 
 
 class TestSimulate:
