@@ -6,9 +6,11 @@ unique zero on (0, 1/k] is the fixed point of f.  Orbit search evaluates
 f^p(x) - x on a whole grid in one call, then bisects every sign-changing cell
 at once, excluding roots that coincide with lower-period points.  Bisection
 runs on arrays of brackets and stops once every midpoint equals an endpoint,
-i.e. each bracket has shrunk to adjacent doubles.  Basin classification
-advances all unresolved starts in lockstep, one f^2 call per step, and watches
-which candidate each even-index subsequence settles on.
+i.e. each bracket has shrunk to adjacent doubles; the one bracket of a fixed
+point takes the same steps on Python floats.  analysis_bundle finds each fixed
+point it reports on once and hands it to the orbit conditions and the spectrum.
+Basin classification advances all unresolved starts in lockstep, one f^2 call
+per step, and watches which candidate each even-index subsequence settles on.
 """
 
 from __future__ import annotations
@@ -84,14 +86,34 @@ def _h(dist: OffspringDistribution, k: int, x: float) -> float:
     return total - 1.0
 
 
-def _bisect(g, lo, hi) -> np.ndarray:
+def _bisect(g, lo, hi):
     """Root of g in each bracket [lo[i], hi[i]], bisecting all brackets at once.
 
     Stops when every midpoint equals an endpoint (the bracket is two adjacent
     doubles, where further steps change nothing) or after BISECT_ITERS steps.
+    A 0-d bracket runs the same steps on Python floats and returns a float.
     """
-    # A scalar bracket keeps its midpoints numpy scalars, so _h's powers use the C library
-    # pow as Python floats do; numpy's array power can differ by an ULP and move x_bar.
+    if np.ndim(lo) == 0:
+        # one bracket (a fixed point's) takes the array branch's steps, stop rule, endpoint returns
+        # and final midpoint on Python floats, without numpy's per-call overhead; float ** calls
+        # the C library pow, as the numpy scalars it replaces did, so x_bar keeps every bit
+        # (numpy's array power can differ from pow by an ULP and move x_bar)
+        a, b = float(lo), float(hi)
+        glo, ghi = g(a), g(b)
+        if glo != 0.0 and ghi != 0.0 and (glo > 0) == (ghi > 0):
+            raise AnalysisError(f"no sign change on the bracket [{a}, {b}]")
+        if glo == 0.0 or ghi == 0.0:
+            return a if glo == 0.0 else b
+        lo_pos = glo > 0
+        for _ in range(BISECT_ITERS):
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            if (g(mid) > 0) == lo_pos:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     glo, ghi = g(lo), g(hi)
     if np.any((glo != 0.0) & (ghi != 0.0) & ((glo > 0) == (ghi > 0))):
@@ -126,7 +148,7 @@ def find_fixed_point(spec: ScalarMapSpec) -> FixedPointReport:
         # h(1/k) = sum q_z k^{-(z-1)} - 1, which is 0 exactly when k = 1
         x_bar = hi
     else:
-        x_bar = float(_bisect(lambda x: _h(dist, k, x), 1e-300, hi))
+        x_bar = _bisect(lambda x: _h(dist, k, x), 1e-300, hi)
     mult = scalar_deriv(spec, x_bar, 1)
     lower = upper = None
     if spec.is_zary and k >= 2:
@@ -180,15 +202,17 @@ def asymptotic_multiplier(z: int) -> float:
     return 1.0 - (z - 1) * a * (1.0 - 1.0 / a)
 
 
-def nonuniform_spectrum(z: int, k: int, i: int) -> list[float]:
+def nonuniform_spectrum(z: int, k: int, i: int, fixed: FixedPointReport | None = None) -> list[float]:
     """Eigenvalues of the linearised truncated recursion at the i-dominant fixed point.
 
     The first value is the scalar multiplier of f_{z,i}; the second, repeated
-    k-i times, governs the decay of the minor diseases.
+    k-i times, governs the decay of the minor diseases.  `fixed` is f_{z,i}'s
+    fixed point if the caller has it already.
     """
     if not 1 <= i <= k:
         raise DynamicsError(f"dominant count {i} outside [1, {k}]")
-    fixed = classify_uniform(z, i)
+    if fixed is None:
+        fixed = classify_uniform(z, i)
     lam2 = pgf_deriv(zary(z), 1.0 - i * fixed.x_bar)  # G'(1 - i x_bar)
     return [fixed.multiplier] + [lam2] * (k - i)
 
@@ -250,16 +274,20 @@ def find_orbit(spec: ScalarMapSpec, period: int) -> OrbitReport | None:
     return stable[0] if stable else cycles[0]
 
 
-def check_orbit_conditions(z: int, i: int) -> tuple[bool, bool, bool]:
+def check_orbit_conditions(z: int, i: int, fixed: FixedPointReport | None = None) -> tuple[bool, bool, bool]:
     """The three numeric conditions under which the period-2 attracting-orbit result applies.
 
     (1) the fixed point is repelling, f'(x_bar) < -1;
     (2) the second iterate of the maximum stays above it, f(f(x_hat)) > x_hat;
     (3) the right endpoint maps below the maximum, f(1/i) < x_hat.
+
+    `fixed` is f_{z,i}'s fixed point if the caller has it already.
     """
     spec = zary_map(z, i)
     x_hat = critical_points(z, i).x_hat
-    cond1 = find_fixed_point(spec).multiplier < -1.0
+    if fixed is None:
+        fixed = find_fixed_point(spec)
+    cond1 = fixed.multiplier < -1.0
     cond2 = _iter_map(spec, x_hat, 2) > x_hat
     cond3 = scalar_eval(spec, 1.0 / i) < x_hat
     return (cond1, cond2, cond3)
@@ -301,17 +329,21 @@ def basin_classify(
     streak_label = np.full(len(starts), -1)
     streak = np.zeros(len(starts), dtype=int)
     for n in range(max_iters):
-        near = np.abs(x[:, None] - targets) < BASIN_BALL
-        label = np.where(near.any(axis=1), near.argmax(axis=1), -1)
+        # written fixed point, right, left: where balls overlap, the first target in `targets` wins
+        label = np.full(x.size, -1)
+        for t in (2, 1, 0):
+            label[np.abs(x - targets[t]) < BASIN_BALL] = t
         same = (label >= 0) & (label == streak_label)
         streak = np.where(same, streak + 1, label >= 0)
         done = same & (streak >= BASIN_CONFIRM_STEPS)
-        verdict[idx[done]] = label[done]
-        iters[idx[done]] = n
-        keep = ~done
-        idx, x, streak_label, streak = idx[keep], x[keep], label[keep], streak[keep]
+        if done.any():
+            verdict[idx[done]] = label[done]
+            iters[idx[done]] = n
+            keep = ~done
+            idx, x, label, streak = idx[keep], x[keep], label[keep], streak[keep]
         if not idx.size:
             break
+        streak_label = label
         x = _iter_map(spec, x, 2)
     verdicts = [names[v] for v in verdict]
     fractions = {v: verdicts.count(v) / len(starts) if starts else 0.0 for v in names}
@@ -328,9 +360,13 @@ def analysis_bundle(spec: ScalarMapSpec, i: int | None = None) -> dict:
             report["framing_bounds"] = {"lower": fixed.lower_bound, "upper": fixed.upper_bound}
         report["critical_points"] = asdict(critical_points(z, k))
         report["asymptotic_multiplier"] = asymptotic_multiplier(z)
+        # f_{z,j}'s fixed point, found once for the orbit conditions and the spectrum; an i outside
+        # [1, k] leaves it to them, so they raise as they would alone
+        j = k if i is None else i
+        fixed_j = fixed if j == k else classify_uniform(z, j) if 1 <= j < k else None
         if z >= 3:
-            c1, c2, c3 = check_orbit_conditions(z, i if i is not None else k)
+            c1, c2, c3 = check_orbit_conditions(z, j, fixed_j)
             report["orbit_conditions"] = [c1, c2, c3]
         if i is not None:
-            report["nonuniform_spectrum"] = nonuniform_spectrum(z, k, i)
+            report["nonuniform_spectrum"] = nonuniform_spectrum(z, k, i, fixed_j)
     return report

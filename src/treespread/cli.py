@@ -15,6 +15,7 @@ self-describing; identical config + seed gives byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -32,8 +33,8 @@ from .dynamics import (
     make_profile,
     stepper,
     trajectory_to_csv,
-    trajectory_to_json_obj,
     uniform_profile,
+    write_trajectory_json,
 )
 from .mc_sim import SimConfig, SimulationError, simulate_root
 from .offspring import OffspringError, parse_offspring
@@ -86,12 +87,14 @@ def _resolved_config(args, fields) -> dict:
     return cfg
 
 
+def _output(out_path: str | None):
+    """The --out file opened for writing, or stdout (left open) without one."""
+    return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _json_out(obj: dict, out_path: str | None) -> None:
@@ -108,9 +111,8 @@ def cmd_iterate(args) -> int:
         body = "# config: " + json.dumps(cfg, sort_keys=True) + "\n" + trajectory_to_csv(traj)
         _emit(body, args.out)
     else:
-        obj = trajectory_to_json_obj(traj)
-        obj["config"] = cfg
-        _json_out(obj, args.out)
+        with _output(args.out) as fh:
+            write_trajectory_json(traj, fh, cfg)
     return EXIT_OK if traj.stop_reason in ("converged", "period2") else EXIT_BUDGET
 
 

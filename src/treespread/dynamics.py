@@ -8,15 +8,17 @@ The state of the root of a height-n tree has distribution p(n) = F^n(p) where
 In the uniform case (all k disease masses equal to x) this collapses to the
 scalar map f(x) = G(1-(k-1)x) - G(1-kx) on (0, 1/k].  The retention variant
 replaces the disease coordinate update by a three-term formula parametrised by
-alpha in (0,1].  Its third term is G(0) = 0 at alpha=1, so one formula serves
-both rules and alpha=1 reproduces the standard rule bit for bit.  The maps and
-their derivatives evaluate elementwise on arrays of points.
+alpha in (0,1].  At alpha=1 its third term is G(0) = 0 and its second is
+G(p_sane), so the standard rule drops the one and evaluates the other once, bit
+for bit the three-term value.  The maps and their derivatives evaluate
+elementwise on arrays of points.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 
@@ -64,8 +66,9 @@ def check_masses(masses, strict: bool = True) -> np.ndarray:
     Every entry must be finite and at most 1.  strict=True enforces the user-facing contract:
     every entry positive.  strict=False admits boundary points with zero mass (down to
     -PROB_TOL), which show up as embeddings of lower-dimensional dynamics and along
-    trajectories.  The entries are summed exactly with math.fsum, so whether a vector passes
-    does not depend on k or on the order of its entries.
+    trajectories.  A vector passes when its exact sum, rounded once (math.fsum), is within PROB_TOL
+    of 1, so the verdict does not depend on k or on the order of its entries.  np.sum settles the
+    vectors whose rounded sum is further inside than its error bound; math.fsum settles the rest.
     """
     v = np.asarray(masses, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -75,10 +78,29 @@ def check_masses(masses, strict: bool = True) -> np.ndarray:
     if not inside.all():
         m = float(v[np.argmin(inside)])
         raise DynamicsError(f"profile entry {m!r} outside {'(0' if strict else '[0'}, 1]")
-    total = math.fsum(v.data)  # the buffer yields Python floats, faster to sum than numpy scalars
-    if abs(total - 1.0) > PROB_TOL:
-        raise DynamicsError(f"profile sums to {total!r}, not 1 within {PROB_TOL}")
+    if abs(float(v.sum()) - 1.0) > PROB_TOL - _sum_slack(v.size):
+        total = math.fsum(v.data)  # the buffer yields Python floats, faster to sum than numpy scalars
+        if abs(total - 1.0) > PROB_TOL:
+            raise DynamicsError(f"profile sums to {total!r}, not 1 within {PROB_TOL}")
     return v
+
+
+def _sum_slack(n: int) -> float:
+    """Bound on |np.sum(v) - fl(sum v)| for n entries in [-PROB_TOL, 1 + PROB_TOL] with np.sum(v) in [0, 2].
+
+    np.sum of a float64 vector is numpy's pairwise summation: runs of at most 128 entries go through
+    eight accumulators (at most 15 + 3 + 7 = 25 additions an entry), halving joins the runs (fewer
+    than 2 log2(n) levels, one addition each), the reduction adds its first entry, and a buffered
+    reduction chains chunks of 8192 entries.  So no entry passes through more than
+    d = 2 * bit_length(n) + 32 + n // 8192 roundings, and |np.sum(v) - sum v| <= gamma_d * sum|v|
+    with gamma_d = d u / (1 - d u) <= (d + 1) u, u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 4.2).  Rounding sum v once moves it by at most u sum|v|, and
+    entries of at least -PROB_TOL with np.sum <= 2 give sum|v| <= 2 + 2 n PROB_TOL + gamma_d sum|v|
+    <= 3 + 3 n PROB_TOL.  The bound is twice (d + 2) u (3 + 3 n PROB_TOL): the spare half covers the
+    roundings of the comparison that uses it.
+    """
+    d = 2 * n.bit_length() + 32 + n // 8192
+    return 2.0 * (d + 2) * 2.0**-53 * (3.0 + 3.0 * n * PROB_TOL)
 
 
 def make_profile(masses, strict: bool = True) -> DiseaseProfile:
@@ -164,7 +186,9 @@ def scalar_eval(spec: ScalarMapSpec, x):
     """
     x, alpha, a = _map_terms(spec, x)
     dist = spec.dist
-    return pgf(dist, 1 - (spec.k - 1) * x) - pgf(dist, 1 - a * x) + pgf(dist, (1 - alpha) * x)
+    # at alpha=1 the third term is G(0), exactly 0 for every law (no mass at z=0)
+    third = 0.0 if alpha == 1.0 else pgf(dist, (1 - alpha) * x)
+    return pgf(dist, 1 - (spec.k - 1) * x) - pgf(dist, 1 - a * x) + third
 
 
 def scalar_deriv(spec: ScalarMapSpec, x, order: int = 1):
@@ -184,11 +208,16 @@ def scalar_deriv(spec: ScalarMapSpec, x, order: int = 1):
 def _step(dist: OffspringDistribution, v: np.ndarray, alpha: float) -> np.ndarray:
     sane, d = v[-1], v[:-1]
     out = np.empty_like(v)
-    out[:-1] = (
-        pgf(dist, np.minimum(sane + d, 1.0))
-        - pgf(dist, sane + d * (1 - alpha))
-        + pgf(dist, (1 - alpha) * d)
-    )
+    if alpha == 1.0:
+        # the standard rule: sane + 0*d is sane and G(0) = 0, so G(sane) is one 0-d value
+        # (the same numpy power loop as a batch) and the third term is dropped
+        out[:-1] = pgf(dist, np.minimum(sane + d, 1.0)) - pgf(dist, sane)
+    else:
+        out[:-1] = (
+            pgf(dist, np.minimum(sane + d, 1.0))
+            - pgf(dist, sane + d * (1 - alpha))
+            + pgf(dist, (1 - alpha) * d)
+        )
     out[-1] = 1.0 - out[:-1].sum()
     return out
 
@@ -226,7 +255,7 @@ def stepper(dist: OffspringDistribution, alpha: float | None = None):
 
 
 def _dist_inf(a, b) -> float:
-    return float(np.max(np.abs(np.subtract(a, b))))
+    return float(np.abs(np.subtract(a, b)).max())
 
 
 def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL) -> Trajectory:
@@ -270,10 +299,25 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return buf.getvalue()
 
 
-def trajectory_to_json_obj(traj: Trajectory) -> dict:
-    return {
-        "stop_reason": traj.stop_reason,
-        "iterations": traj.iterations,
-        "tol": traj.tol,
-        "states": [np.asarray(s, dtype=float).tolist() for s in traj.states],
-    }
+def write_trajectory_json(traj: Trajectory, fh, config: dict) -> None:
+    """Write the trajectory and its config to fh as json.dumps(obj, indent=2, sort_keys=True) + newline.
+
+    obj holds stop_reason, iterations, tol, config and the states as lists of floats (a float for a
+    scalar state).  The states go out one at a time, each as unindented json.dumps writes it (a float
+    as float.__repr__ does, NaN and +-Infinity as json does) and then indented, so the whole text is
+    never held in memory.
+    """
+    head = {"stop_reason": traj.stop_reason, "iterations": traj.iterations, "tol": traj.tol, "config": config}
+    # "states" is the one top-level key indented by two spaces: strings escape their newlines
+    before, after = json.dumps({**head, "states": []}, indent=2, sort_keys=True).split('\n  "states": []')
+    fh.write(before + '\n  "states": [')
+    sep = "\n    "
+    for state in traj.states:
+        row = np.asarray(state, dtype=float).tolist()
+        if isinstance(row, list):
+            # no number json writes holds ", ", so each one it finds is a separator
+            fh.write(sep + "[\n      " + json.dumps(row)[1:-1].replace(", ", ",\n      ") + "\n    ]")
+        else:
+            fh.write(sep + json.dumps(row))
+        sep = ",\n    "
+    fh.write("\n  ]" + after + "\n")

@@ -5,6 +5,7 @@ import pytest
 
 from treespread import (
     DynamicsError,
+    OrbitReport,
     ScalarMapSpec,
     asymptotic_multiplier,
     basin_classify,
@@ -19,9 +20,10 @@ from treespread import (
     scalar_deriv,
     scalar_eval,
     x_tilde,
+    zary,
     zary_map,
 )
-from treespread.analysis import BASIN_BALL, BASIN_CONFIRM_STEPS, analysis_bundle
+from treespread.analysis import BASIN_BALL, BASIN_CONFIRM_STEPS, AnalysisError, _bisect, _h, analysis_bundle
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
@@ -65,6 +67,37 @@ class TestFixedPoint:
     def test_rejects_variant(self):
         with pytest.raises(DynamicsError):
             find_fixed_point(ScalarMapSpec(FIG_FE, 2, variant_alpha=0.5))
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+@pytest.mark.parametrize("law", [f"zary:{z}" for z in range(2, 13)] + ["three-atom"])
+def test_scalar_bracket_bisects_as_an_array_bracket(law, k):
+    """The float branch of _bisect gives the bit-equal root of the array branch on a one-element bracket.
+
+    The array side evaluates h on Python floats too, so only the two bisection loops differ.  At k = 1,
+    h(1/k) = 0 and both return the endpoint.
+    """
+    dist = FIG_FE if law == "three-atom" else zary(int(law.split(":")[1]))
+
+    def h_each(x):
+        return np.array([_h(dist, k, float(v)) for v in x])
+
+    got = _bisect(lambda x: _h(dist, k, x), 1e-300, 1.0 / k)
+    want = _bisect(h_each, np.array([1e-300]), np.array([1.0 / k]))
+    assert type(got) is float and want.shape == (1,)
+    assert got == want[0] and math.copysign(1.0, got) == math.copysign(1.0, want[0])
+    if k > 1:
+        assert find_fixed_point(ScalarMapSpec(dist, k)).x_bar == got
+    else:
+        assert got == 1.0
+
+
+def test_scalar_bracket_endpoints_and_no_sign_change():
+    assert _bisect(lambda x: x, 0.0, 1.0) == 0.0  # g(lo) = 0 wins, as in the array branch
+    assert _bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    assert _bisect(lambda x: x - 0.25, 0.0, 1.0) == 0.25
+    with pytest.raises(AnalysisError, match="no sign change"):
+        _bisect(lambda x: x + 1.0, 0.0, 1.0)
 
 
 class TestClosedForms:
@@ -222,6 +255,38 @@ def test_lockstep_basin_matches_per_start_loop(max_iters, n_starts):
     assert all(type(n) is int for n in report.iterations)
     if max_iters == 40:
         assert 0 < report.verdicts.count("unresolved") < len(starts)
+
+
+@pytest.mark.parametrize("z,k", [(6, 2), (8, 2)])
+def test_basin_labels_match_per_start_loop_on_the_boundaries(z, k):
+    """Starts on the domain's ends, on each target and at the edges of its ball, among random ones."""
+    spec = zary_map(z, k)
+    orbit = find_orbit(spec, 2)
+    x_bar = find_fixed_point(spec).x_bar
+    candidates = [(orbit.points[0], "orbit_left"), (orbit.points[1], "orbit_right"), (x_bar, "fixed_point")]
+    edges = []
+    for t, _ in candidates:
+        for d in (0.0, 0.5 * BASIN_BALL, BASIN_BALL):
+            edges += [t - d, t + d, float(np.nextafter(t + d, 0.0)), float(np.nextafter(t - d, 1.0))]
+    starts = [0.0, 1.0 / k, *edges, *(np.random.default_rng(z).random(200) / k).tolist()]
+    report = basin_classify(spec, starts, max_iters=60, orbit=orbit)
+    want = [_basin_reference(spec, x0, candidates, 60) for x0 in starts]
+    assert list(zip(report.verdicts, report.iterations)) == want
+    assert {"orbit_left", "orbit_right", "fixed_point"} <= set(report.verdicts)
+
+
+def test_basin_overlapping_balls_pick_the_first_target():
+    """Made-up orbit points 0.6 BASIN_BALL either side of the fixed point: where balls overlap, left beats
+    right beats the fixed point, as in the per-start loop."""
+    spec = zary_map(6, 2)
+    x_bar = find_fixed_point(spec).x_bar
+    orbit = OrbitReport(2, (x_bar - 0.6 * BASIN_BALL, x_bar + 0.6 * BASIN_BALL), 0.5, True)
+    candidates = [(orbit.points[0], "orbit_left"), (orbit.points[1], "orbit_right"), (x_bar, "fixed_point")]
+    starts = [x_bar + f * BASIN_BALL for f in np.linspace(-1.7, 1.7, 35)]
+    report = basin_classify(spec, starts, max_iters=30, orbit=orbit)
+    want = [_basin_reference(spec, x0, candidates, 30) for x0 in starts]
+    assert list(zip(report.verdicts, report.iterations)) == want
+    assert {"orbit_left", "orbit_right"} <= set(report.verdicts)
 
 
 # --- reference 2-cycle scan: plain numpy and scalar bisection, sharing no code with the package ---

@@ -4,12 +4,24 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from treespread import SimConfig, SimResult, SimulationError, make_offspring, mc_sim, simulate_root
+from treespread import (
+    SimConfig,
+    SimResult,
+    SimulationError,
+    analysis,
+    check_orbit_conditions,
+    make_offspring,
+    mc_sim,
+    pgf_deriv,
+    simulate_root,
+    zary,
+)
 from treespread.dynamics import MAX_K
 from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, MAX_STARTS, main, parse_profile
 from treespread.mc_sim import _GWKernel
@@ -101,6 +113,38 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--offspring", "zary:4", "--k", "7")
         assert code == EXIT_OK
         assert json.loads(out)["fixed_point"]["classification"] == "attracting"
+
+    @pytest.mark.parametrize("z,k,i", [(6, 5, 2), (12, 50, 3), (3, 20, 20)])
+    def test_dominant_count_finds_each_fixed_point_once(self, capsys, monkeypatch, z, k, i):
+        """--i: f_{z,i}'s fixed point serves both the spectrum and the orbit conditions."""
+        find = analysis.find_fixed_point
+        calls = []
+        monkeypatch.setattr(analysis, "find_fixed_point", lambda spec: calls.append(spec.k) or find(spec))
+        code, out, _ = run(capsys, "analyze", "--offspring", f"zary:{z}", "--k", str(k), "--i", str(i))
+        assert code == EXIT_OK
+        assert sorted(calls) == sorted({k, i})
+        obj = json.loads(out)
+        assert set(obj) == {
+            "asymptotic_multiplier",
+            "config",
+            "critical_points",
+            "fixed_point",
+            "framing_bounds",
+            "nonuniform_spectrum",
+            "orbit_conditions",
+        }
+        assert set(obj["fixed_point"]) == {
+            "classification", "lower_bound", "multiplier", "residual", "upper_bound", "x_bar"
+        }
+        assert set(obj["critical_points"]) == {"f_at_x_hat", "x_hat", "x_star"}
+        assert set(obj["framing_bounds"]) == {"lower", "upper"}
+        assert obj["config"] == {"subcommand": "analyze", "offspring": f"zary:{z}", "k": k, "i": i}
+        monkeypatch.undo()
+        fixed_i = analysis.classify_uniform(z, i)
+        assert obj["fixed_point"] == json.loads(json.dumps(asdict(analysis.classify_uniform(z, k))))
+        assert obj["orbit_conditions"] == list(check_orbit_conditions(z, i))
+        lam2 = pgf_deriv(zary(z), 1.0 - i * fixed_i.x_bar)
+        assert obj["nonuniform_spectrum"] == [fixed_i.multiplier] + [lam2] * (k - i)
 
     def test_gw_law(self, capsys):
         spec = '{"masses":[[3,0.3333333333],[6,0.3333333333],[10,0.3333333334]]}'

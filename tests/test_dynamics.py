@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,9 +28,12 @@ from treespread import (
     zary_map,
 )
 from treespread.dynamics import (
+    PROB_TOL,
+    Trajectory,
+    check_masses,
     stepper,
     trajectory_to_csv,
-    trajectory_to_json_obj,
+    write_trajectory_json,
 )
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
@@ -60,6 +65,29 @@ class TestProfiles:
         for tol in (math.nan, -1.0, 0.0, math.inf):
             with pytest.raises(DynamicsError):
                 iterate(stepper(zary(2)), uniform_profile(2), max_iters=5, tol=tol)
+
+    def test_check_masses_decides_as_the_exact_sum(self):
+        """Last entries stepped across |sum - 1| = PROB_TOL: the verdict and message are those of math.fsum."""
+        rng = np.random.default_rng(9)
+        wrong_by_np_sum = 0
+        for n in (2, 3, 10, 130, 1000, 20_000):
+            v = rng.random(n)
+            v /= math.fsum(v)
+            for side in (1.0, -1.0):
+                last = 1.0 + side * PROB_TOL - math.fsum(v[:-1])
+                for ulps in range(-60, 61, 3):
+                    w = v.copy()
+                    w[-1] = last + ulps * 2.0**-60
+                    total = math.fsum(w)
+                    fails = abs(total - 1.0) > PROB_TOL
+                    wrong_by_np_sum += fails != (abs(float(w.sum()) - 1.0) > PROB_TOL)
+                    for strict in (True, False):
+                        if fails:
+                            with pytest.raises(DynamicsError, match=f"^profile sums to {total!r}, "):
+                                check_masses(w, strict)
+                        else:
+                            check_masses(w, strict)
+        assert wrong_by_np_sum > 0  # np.sum alone would decide some of these wrongly
 
     def test_make_profile_rejects_increasing_order(self):
         with pytest.raises(DynamicsError):
@@ -237,6 +265,31 @@ def test_alpha_one_is_exactly_the_standard_rule(dist, k):
         assert np.array_equal(step_variant(dist, p, 1.0), step_full(dist, p))
 
 
+@pytest.mark.parametrize("dist,k", [(zary(2), 1), (zary(5), 4), (zary(12), 30), (FIG_FE, 3), (FIG_FE, 20)],
+                         ids=["z2k1", "z5k4", "z12k30", "fig_fe_k3", "fig_fe_k20"])
+def test_standard_rule_matches_the_three_term_formula(dist, k):
+    """step_full and scalar_eval drop G(0) and take G(sane) once: bit-equal to the three terms with alpha = 1."""
+    rng = np.random.default_rng(k)
+    points = list(rng.dirichlet(np.ones(k + 1), size=40))
+    for j, p in enumerate(points[:20]):
+        p = p.copy()
+        p[j % (k + 1)] = 0.0  # a zero entry, the sane one among them
+        if k >= 2:
+            p[(j + 1) % k] = -PROB_TOL  # and a disease entry at the lower limit
+        p[-1 if j % (k + 1) != k else 0] += 1.0 - math.fsum(p)
+        points.append(p)
+    points += [np.eye(k + 1)[0], np.eye(k + 1)[-1]]
+    for p in points:
+        sane, d = p[-1], p[:-1]
+        want = pgf(dist, np.minimum(sane + d, 1.0)) - pgf(dist, sane + d * 0.0) + pgf(dist, 0.0 * d)
+        got = step_full(dist, p)
+        assert got[:-1].tobytes() == want.tobytes()
+        assert got[-1] == 1.0 - want.sum()
+    x = np.concatenate([[0.0, 1.0 / k], rng.random(200) / k])
+    want = pgf(dist, 1 - (k - 1) * x) - pgf(dist, 1 - k * x) + pgf(dist, 0.0 * x)
+    assert scalar_eval(ScalarMapSpec(dist, k), x).tobytes() == want.tobytes()
+
+
 class _Coin:
     """Stands in for combine_children's rng: records whether the retention coin was
     tossed and lets the disease win, so the caller can weight the outcome exactly."""
@@ -335,6 +388,46 @@ class TestSerialization:
 
     def test_json_obj(self):
         traj = iterate(stepper(zary(2)), uniform_profile(2), max_iters=3)
-        obj = trajectory_to_json_obj(traj)
+        fh = io.StringIO()
+        write_trajectory_json(traj, fh, {"k": 2})
+        obj = json.loads(fh.getvalue())
         assert obj["stop_reason"] == traj.stop_reason
         assert obj["states"][0] == [1 / 3, 1 / 3, 1 / 3]
+        assert obj["config"] == {"k": 2}
+
+
+def _written(traj, config):
+    fh = io.StringIO()
+    write_trajectory_json(traj, fh, config)
+    return fh.getvalue()
+
+
+def _dumped(traj, config):
+    """The reference: the whole object through json.dumps."""
+    states = [[float(v) for v in s] if np.ndim(s) else float(s) for s in traj.states]
+    obj = {"stop_reason": traj.stop_reason, "iterations": traj.iterations, "tol": traj.tol,
+           "states": states, "config": config}
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+EDGE_FLOATS = [5e-324, 1e-05, 0.0, 1.0, -0.0, 1e-300, 0.1, 1 / 3, 2.0**-1074 * 3, 1e16, 123456789.125]
+
+
+@pytest.mark.parametrize(
+    "traj",
+    [
+        Trajectory([np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])], "max_iters", 1, 1e-12),
+        Trajectory([np.array([1.0, 0.0]), np.array([5e-324, 1.0])], "converged", 1),
+        Trajectory([np.array([math.nan, math.inf, -math.inf])], "max_iters", 0),
+        Trajectory(EDGE_FLOATS, "period2", 10, 1e-05),
+        iterate(stepper(zary(3)), uniform_profile(1), tol=1e-12),
+        iterate(stepper(zary(3), 0.3), make_profile([0.4, 0.3, 0.3]), tol=1e-12),
+        iterate(stepper(FIG_FE), dominant_profile(8, 4), tol=1e-12),
+        iterate(lambda x: scalar_eval(zary_map(6, 2), x), 0.3, max_iters=7),
+    ],
+    ids=["edge_floats", "k1_edges", "non_finite", "scalar_edges", "k1", "variant", "gw_dominant", "scalar_map"],
+)
+def test_trajectory_writer_matches_json_dumps(traj):
+    for config in ({"k": 1, "alpha": None, "offspring": "zary:3", "format": "json"}, {}, {"s": "a\n  \"states\": []"}):
+        assert _written(traj, config) == _dumped(traj, config)
+
