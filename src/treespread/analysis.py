@@ -3,14 +3,14 @@
 Fixed points are located by bisection on the strictly decreasing auxiliary
 function h(x) = sum_z q_z sum_{j<z} (1-(k-1)x)^{z-1-j} (1-kx)^j - 1, whose
 unique zero on (0, 1/k] is the fixed point of f.  Orbit search evaluates
-f^p(x) - x on a whole grid in one call, then bisects every sign-changing cell
-at once, excluding roots that coincide with lower-period points.  Bisection
-runs on arrays of brackets and stops once every midpoint equals an endpoint,
-i.e. each bracket has shrunk to adjacent doubles; the one bracket of a fixed
-point takes the same steps on Python floats.  analysis_bundle finds each fixed
-point it reports on once and hands it to the orbit conditions and the spectrum.
-Basin classification advances all unresolved starts in lockstep, one f^2 call
-per step, and watches which candidate each even-index subsequence settles on.
+f^p(x) - x on a whole grid in one call, bisects every sign-changing cell at
+once and keeps the roots of minimal period p, those that f^(p/2) moves; it
+runs on any offspring law and refuses the retention variant.  Bisection runs
+on arrays of brackets and stops once every midpoint equals an endpoint (the
+one bracket of a fixed point takes the same steps on Python floats).
+analysis_bundle finds each fixed point it reports on once.  Basin
+classification advances all unresolved starts in lockstep, one f^2 call per
+step, and watches which candidate each even-index subsequence settles on.
 """
 
 from __future__ import annotations
@@ -234,31 +234,24 @@ def _grid_roots(g, lo: float, hi: float) -> list[float]:
 
 
 def find_orbit(spec: ScalarMapSpec, period: int) -> OrbitReport | None:
-    """Locate a period-2 or period-4 orbit of the scalar map, or None if absent.
+    """Locate a period-2 or period-4 orbit of the standard scalar map, or None if absent.
 
-    Both periods scan f^p(x) - x over the whole domain (1e-12, 1/k] and drop the
-    roots within ORBIT_EXCLUSION of a lower-period point: the fixed point, and
-    for period 4 every fixed point of f^2 as well.  A 2-cycle can have a point
-    left of the maximum x_hat (f_{8,2}) or right of x_hat's preimage (f_{7,3}),
-    so no bracket narrower than the domain holds them all.
+    One scan of f^p(x) - x over the whole domain (1e-12, 1/k] finds the roots, and
+    a root is kept when it has minimal period p: f^(p/2) moves it by more than
+    ORBIT_EXCLUSION, which drops the fixed point and, for p = 4, every fixed point
+    of f^2.  The search calls nothing z-ary, so it runs on any offspring law; the
+    retention variant is refused, as by find_fixed_point.
     """
     if period not in (2, 4):
         raise DynamicsError(f"orbit period must be 2 or 4, got {period}")
-    if not spec.is_zary:
-        raise DynamicsError("orbit search is implemented for z-ary maps")
-    lo, hi = 1e-12, 1.0 / spec.k
-    exclude = [find_fixed_point(spec).x_bar]
-    if period == 4:
-        # fixed points of f^2 (including any 2-cycle) are excluded from the f^4 scan
-        exclude += _grid_roots(lambda x: _iter_map(spec, x, 2) - x, lo, hi)
-
-    roots = _grid_roots(lambda x: _iter_map(spec, x, period) - x, lo, hi)
-    candidates = [r for r in roots if all(abs(r - e) > ORBIT_EXCLUSION for e in exclude)]
-    if not candidates:
+    if spec.variant_alpha is not None:
+        raise DynamicsError("orbit search applies to the standard map only")
+    roots = np.array(_grid_roots(lambda x: _iter_map(spec, x, period) - x, 1e-12, 1.0 / spec.k))
+    remaining = roots[np.abs(_iter_map(spec, roots, period // 2) - roots) > ORBIT_EXCLUSION].tolist()
+    if not remaining:
         return None
 
-    # group candidates into cycles and prefer a stable one
-    remaining = sorted(candidates)
+    # group the roots of minimal period p into cycles and prefer a stable one
     cycles = []
     while remaining:
         y = remaining[0]
@@ -352,6 +345,8 @@ def basin_classify(
 
 def analysis_bundle(spec: ScalarMapSpec, i: int | None = None) -> dict:
     """One JSON-ready report combining every analysis product for a spec."""
+    if i is not None and not spec.is_zary:
+        raise DynamicsError(f"dominant count i={i} (spectrum and orbit conditions) needs a z-ary law")
     fixed = find_fixed_point(spec)
     report = {"fixed_point": asdict(fixed)}
     if spec.is_zary:

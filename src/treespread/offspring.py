@@ -57,6 +57,7 @@ def make_offspring(masses) -> OffspringDistribution:
 
     Rejects mass at z in {0, 1}, non-positive mass, duplicate atoms,
     total mass differing from 1 by more than 1e-12, and mean below 2.
+    A single atom is stored with mass 1.0, as zary(z).
     """
     masses = list(masses)
     if not masses:
@@ -83,6 +84,8 @@ def make_offspring(masses) -> OffspringDistribution:
     total = sum(q for _, q in cleaned)
     if abs(total - 1.0) > PROB_TOL:
         raise OffspringError(f"masses sum to {total!r}, not 1 within {PROB_TOL}")
+    if len(cleaned) == 1:  # a lone atom is zary(z), so every layer sees the same map
+        cleaned = [(cleaned[0][0], 1.0)]
     dist = OffspringDistribution(tuple(sorted(cleaned)))
     if dist.mean < 2.0 - PROB_TOL:
         raise OffspringError(f"mean child count {dist.mean} < 2")

@@ -181,6 +181,12 @@ class TestOrbits:
         with pytest.raises(DynamicsError):
             find_orbit(zary_map(6, 2), 3)
 
+    @pytest.mark.parametrize("dist", [zary(6), FIG_FE], ids=["zary6", "three-atom"])
+    @pytest.mark.parametrize("period", [2, 4])
+    def test_rejects_variant(self, dist, period):
+        with pytest.raises(DynamicsError, match="standard map"):
+            find_orbit(ScalarMapSpec(dist, 2, variant_alpha=0.5), period)
+
     def test_conditions(self):
         assert check_orbit_conditions(6, 2) == (True, True, True)
         c1, _, _ = check_orbit_conditions(3, 2)
@@ -289,18 +295,34 @@ def test_basin_overlapping_balls_pick_the_first_target():
     assert {"orbit_left", "orbit_right"} <= set(report.verdicts)
 
 
-# --- reference 2-cycle scan: plain numpy and scalar bisection, sharing no code with the package ---
+# --- reference orbit scans: plain numpy and scalar bisection, sharing no code with the package ---
 
 REF_CELLS = 20_000
+# a z-ary law is its child count z; the Galton-Watson laws are {z: q_z}
+REF_LAWS = list(range(2, 13)) + [
+    pytest.param({6: 0.5, 12: 0.5}, id="gw6-12"),
+    pytest.param({2: 0.5, 9: 0.5}, id="gw2-9"),
+    pytest.param({3: 1 / 3, 6: 1 / 3, 10: 1 / 3}, id="three-atom"),
+]
 
 
-def _ref_f(z, k, x):
-    """f_{z,k}(x) = G(1 - (k-1)x) - G(1 - kx) with G(s) = s^z."""
-    return (1 - (k - 1) * x) ** z - (1 - k * x) ** z
+def _atoms(law):
+    return ((law, 1.0),) if isinstance(law, int) else tuple(sorted(law.items()))
 
 
-def _ref_df(z, k, x):
-    return k * z * (1 - k * x) ** (z - 1) - (k - 1) * z * (1 - (k - 1) * x) ** (z - 1)
+def _ref_f(atoms, k, x):
+    """f_k(x) = G(1 - (k-1)x) - G(1 - kx) with G(s) = sum_z q_z s^z."""
+    return sum(q * ((1 - (k - 1) * x) ** z - (1 - k * x) ** z) for z, q in atoms)
+
+
+def _ref_df(atoms, k, x):
+    return sum(q * (k * z * (1 - k * x) ** (z - 1) - (k - 1) * z * (1 - (k - 1) * x) ** (z - 1)) for z, q in atoms)
+
+
+def _ref_iter(atoms, k, x, times):
+    for _ in range(times):
+        x = _ref_f(atoms, k, x)
+    return x
 
 
 def _ref_bisect(g, a, b):
@@ -326,24 +348,38 @@ def _ref_roots(g, hi):
     return x[v == 0].tolist() + [_ref_bisect(g, float(x[i]), float(x[i + 1])) for i in change]
 
 
-@pytest.mark.parametrize("k", range(1, 31))
-@pytest.mark.parametrize("z", range(2, 13))
-def test_period2_matches_reference_scan(z, k):
-    """find_orbit finds a 2-cycle exactly when f(f(x)) - x has a root away from every root of f(x) - x."""
-    fixed = _ref_roots(lambda x: _ref_f(z, k, x) - x, 1.0 / k)
-    two = [
+def _check_against_reference(law, k, period):
+    """find_orbit finds a p-cycle exactly when f^p(x) - x has a root away from every root of f^(p/2)(x) - x."""
+    atoms = _atoms(law)
+    lower = _ref_roots(lambda x: _ref_iter(atoms, k, x, period // 2) - x, 1.0 / k)
+    cycle = [
         r
-        for r in _ref_roots(lambda x: _ref_f(z, k, _ref_f(z, k, x)) - x, 1.0 / k)
-        if all(abs(r - e) > 1e-6 for e in fixed)
+        for r in _ref_roots(lambda x: _ref_iter(atoms, k, x, period) - x, 1.0 / k)
+        if all(abs(r - e) > 1e-6 for e in lower)
     ]
-    orbit = find_orbit(zary_map(z, k), 2)
-    assert (orbit is None) == (not two), (orbit, two)
+    orbit = find_orbit(ScalarMapSpec(make_offspring(atoms), k), period)
+    assert (orbit is None) == (not cycle), (orbit, cycle)
     if orbit is None:
         return
-    p, q = orbit.points
-    assert abs(_ref_f(z, k, p) - q) <= 1e-12 and abs(_ref_f(z, k, q) - p) <= 1e-12
-    assert all(min(abs(x - r) for r in two) <= 1e-9 for x in (p, q))
-    assert orbit.stable == (abs(_ref_df(z, k, p) * _ref_df(z, k, q)) < 1)
+    # f permutes the cycle's points, each near a root the reference kept
+    images = sorted(_ref_f(atoms, k, p) for p in orbit.points)
+    assert len(orbit.points) == period
+    assert all(abs(y - p) <= 1e-12 for y, p in zip(images, orbit.points))
+    assert all(min(abs(p - r) for r in cycle) <= 1e-9 for p in orbit.points)
+    mult = math.prod(_ref_df(atoms, k, p) for p in orbit.points)
+    assert orbit.stable == (abs(mult) < 1)
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+@pytest.mark.parametrize("z", REF_LAWS)
+def test_period2_matches_reference_scan(z, k):
+    _check_against_reference(z, k, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+@pytest.mark.parametrize("law", REF_LAWS)
+def test_period4_matches_reference_scan(law, k):
+    _check_against_reference(law, k, 4)
 
 
 class TestBundle:

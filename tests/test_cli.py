@@ -27,6 +27,10 @@ from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, MAX_S
 from treespread.mc_sim import _GWKernel
 
 
+FIG_FE_ARG = json.dumps({"masses": [[3, 1 / 3], [6, 1 / 3], [10, 1 / 3]]})
+GW_6_12 = '{"masses": [[6, 0.5], [12, 0.5]]}'
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -153,6 +157,23 @@ class TestAnalyze:
         fp = json.loads(out)["fixed_point"]
         assert fp["residual"] < 1e-12
 
+    @pytest.mark.parametrize("i", [0, 2, 7])
+    def test_gw_law_refuses_a_dominant_count(self, capsys, i):
+        code, out, err = run(capsys, "analyze", "--offspring", FIG_FE_ARG, "--k", "3", "--i", str(i))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("error:") and "z-ary" in err
+
+    def test_lone_atom_law_reports_as_zary(self, capsys):
+        """A one-atom JSON law within PROB_TOL of mass 1 is zary(z): one map for every entry of the report."""
+        reports = []
+        for law in ('{"masses": [[6, 0.9999999999995]]}', "zary:6"):
+            code, out, _ = run(capsys, "analyze", "--offspring", law, "--k", "2")
+            assert code == EXIT_OK
+            obj = json.loads(out)
+            del obj["config"]
+            reports.append(obj)
+        assert reports[0] == reports[1]
+
 
 class TestOrbit:
     def test_found(self, capsys):
@@ -163,6 +184,18 @@ class TestOrbit:
 
     def test_absent(self, capsys):
         code, out, _ = run(capsys, "orbit", "--offspring", "zary:3", "--k", "2", "--period", "2")
+        assert code == EXIT_ABSENT
+        assert json.loads(out)["orbit"] is None
+
+    def test_gw_law(self, capsys):
+        code, out, _ = run(capsys, "orbit", "--offspring", GW_6_12, "--k", "2")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert obj["stable"] is True
+        assert obj["points"] == pytest.approx([0.10932348929520261, 0.23458534273512802], abs=1e-12)
+
+    def test_gw_law_absent(self, capsys):
+        code, out, _ = run(capsys, "orbit", "--offspring", FIG_FE_ARG, "--k", "3")
         assert code == EXIT_ABSENT
         assert json.loads(out)["orbit"] is None
 
@@ -194,6 +227,12 @@ class TestBasin:
 
     def test_cycle_left_of_the_maximum(self, capsys):
         code, _, err = run(capsys, "basin", "--offspring", "zary:8", "--k", "2", "--starts", "200", "--seed", "1")
+        assert code == EXIT_OK
+        fractions = json.loads(err)["fractions"]
+        assert fractions["orbit_left"] + fractions["orbit_right"] >= 0.99
+
+    def test_gw_law(self, capsys):
+        code, _, err = run(capsys, "basin", "--offspring", GW_6_12, "--k", "2", "--starts", "200", "--seed", "1")
         assert code == EXIT_OK
         fractions = json.loads(err)["fractions"]
         assert fractions["orbit_left"] + fractions["orbit_right"] >= 0.99
