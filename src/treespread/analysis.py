@@ -347,6 +347,8 @@ def analysis_bundle(spec: ScalarMapSpec, i: int | None = None) -> dict:
     """One JSON-ready report combining every analysis product for a spec."""
     if i is not None and not spec.is_zary:
         raise DynamicsError(f"dominant count i={i} (spectrum and orbit conditions) needs a z-ary law")
+    if i is not None and not 1 <= i <= spec.k:
+        raise DynamicsError(f"dominant count {i} outside [1, {spec.k}]")
     fixed = find_fixed_point(spec)
     report = {"fixed_point": asdict(fixed)}
     if spec.is_zary:
@@ -355,10 +357,9 @@ def analysis_bundle(spec: ScalarMapSpec, i: int | None = None) -> dict:
             report["framing_bounds"] = {"lower": fixed.lower_bound, "upper": fixed.upper_bound}
         report["critical_points"] = asdict(critical_points(z, k))
         report["asymptotic_multiplier"] = asymptotic_multiplier(z)
-        # f_{z,j}'s fixed point, found once for the orbit conditions and the spectrum; an i outside
-        # [1, k] leaves it to them, so they raise as they would alone
+        # f_{z,j}'s fixed point, found once for the orbit conditions and the spectrum
         j = k if i is None else i
-        fixed_j = fixed if j == k else classify_uniform(z, j) if 1 <= j < k else None
+        fixed_j = fixed if j == k else classify_uniform(z, j)
         if z >= 3:
             c1, c2, c3 = check_orbit_conditions(z, j, fixed_j)
             report["orbit_conditions"] = [c1, c2, c3]

@@ -8,14 +8,16 @@ fixed protocol so CI scripts can assert results directly:
     2  iteration budget exhausted, or a simulate z-score above 4
     3  legitimate absence (no orbit of the requested period; for basin, no attracting 2-cycle)
 
-Every output embeds the fully resolved configuration, making runs
-self-describing; identical config + seed gives byte-identical output.
+Every output embeds the resolved configuration: the subcommand and every flag
+it parsed but --out and --config, making runs self-describing; identical
+config + seed gives byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -26,7 +28,6 @@ import numpy as np
 from . import analysis, dynamics, mc_sim
 from .dynamics import (
     DiseaseProfile,
-    DynamicsError,
     ScalarMapSpec,
     dominant_profile,
     iterate,
@@ -36,8 +37,8 @@ from .dynamics import (
     uniform_profile,
     write_trajectory_json,
 )
-from .mc_sim import SimConfig, SimulationError, simulate_root
-from .offspring import OffspringError, parse_offspring
+from .mc_sim import SimConfig, simulate_root
+from .offspring import parse_offspring
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -80,10 +81,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _resolved_config(args, fields) -> dict:
+# parsed dests that are not part of a run's configuration
+_NOT_CONFIG = frozenset({"command", "config", "func", "out"})
+
+
+def _resolved_config(args) -> dict:
+    """The subcommand and every flag value it parsed, as embedded in its output."""
     cfg = {"subcommand": args.command}
-    for name in fields:
-        cfg[name] = getattr(args, name, None)
+    cfg.update((name, value) for name, value in vars(args).items() if name not in _NOT_CONFIG)
     return cfg
 
 
@@ -105,7 +110,7 @@ def cmd_iterate(args) -> int:
     dist = parse_offspring(args.offspring)
     profile = parse_profile(args.profile, args.k)
     traj = iterate(stepper(dist, args.alpha), profile, max_iters=args.max_iters, tol=args.tol)
-    cfg = _resolved_config(args, ["offspring", "k", "profile", "alpha", "tol", "max_iters", "format"])
+    cfg = _resolved_config(args)
     cfg["k"] = profile.k
     if args.format == "csv":
         body = "# config: " + json.dumps(cfg, sort_keys=True) + "\n" + trajectory_to_csv(traj)
@@ -127,7 +132,7 @@ def _scalar_spec(args) -> ScalarMapSpec:
 def cmd_analyze(args) -> int:
     spec = _scalar_spec(args)
     report = analysis.analysis_bundle(spec, i=args.i)
-    report["config"] = _resolved_config(args, ["offspring", "k", "i"])
+    report["config"] = _resolved_config(args)
     _json_out(report, args.out)
     return EXIT_OK
 
@@ -135,7 +140,7 @@ def cmd_analyze(args) -> int:
 def cmd_orbit(args) -> int:
     spec = _scalar_spec(args)
     orbit = analysis.find_orbit(spec, args.period)
-    cfg = _resolved_config(args, ["offspring", "k", "period"])
+    cfg = _resolved_config(args)
     if orbit is None:
         _json_out({"orbit": None, "config": cfg}, args.out)
         return EXIT_ABSENT
@@ -156,7 +161,7 @@ def cmd_basin(args) -> int:
     rng = np.random.default_rng(args.seed)
     starts = (rng.random(args.starts) * (1.0 / args.k)).tolist()
     report = analysis.basin_classify(spec, starts, max_iters=args.max_iters, orbit=orbit)
-    cfg = _resolved_config(args, ["offspring", "k", "starts", "seed", "max_iters"])
+    cfg = _resolved_config(args)
     body = "# config: " + json.dumps(cfg, sort_keys=True) + "\n" + report.to_csv()
     _emit(body, args.out)
     summary = report.to_json_obj()
@@ -188,9 +193,7 @@ def cmd_simulate(args) -> int:
         (m - a) / max(se, math.sqrt(max(a * (1 - a), 0.0) / result.trials), 1e-12)
         for m, se, a in zip(result.masses, result.stderr, analytic)
     ]
-    cfg = _resolved_config(
-        args, ["offspring", "k", "profile", "height", "trials", "alpha", "seed", "format"]
-    )
+    cfg = _resolved_config(args)
     cfg["k"] = profile.k
     if args.format == "csv":
         lines = ["# config: " + json.dumps(cfg, sort_keys=True), "coord,analytic,empirical,stderr,z"]
@@ -212,7 +215,9 @@ def cmd_simulate(args) -> int:
     return EXIT_BUDGET if any(abs(z) > 4.0 for z in z_scores) else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = _Parser(
         prog="treespread",
         description="Competing-disease dynamics on Galton-Watson and z-ary trees",
@@ -268,12 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# finds --config in any form argparse accepts: --config=FILE, or abbreviated
+_CONFIG_FLAG = _Parser(add_help=False)
+_CONFIG_FLAG.add_argument("--config")
+
+
 def _apply_config(argv: list[str]) -> list[str]:
     """Splice the defaults of a --config JSON file into argv; explicit flags win."""
-    # argparse finds the flag in any form it accepts: --config=FILE, or abbreviated
-    flag_parser = _Parser(add_help=False)
-    flag_parser.add_argument("--config")
-    known, argv = flag_parser.parse_known_args(argv)
+    known, argv = _CONFIG_FLAG.parse_known_args(argv)
     if known.config is None:
         return argv
     try:
@@ -299,7 +306,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_apply_config(argv))
         return args.func(args)
-    except (ConfigError, DynamicsError, OffspringError, SimulationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, DynamicsError, OffspringError and SimulationError subclass it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

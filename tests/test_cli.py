@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -23,7 +24,16 @@ from treespread import (
     zary,
 )
 from treespread.dynamics import MAX_K
-from treespread.cli import EXIT_ABSENT, EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, MAX_STARTS, main, parse_profile
+from treespread.cli import (
+    EXIT_ABSENT,
+    EXIT_BUDGET,
+    EXIT_CONFIG,
+    EXIT_OK,
+    MAX_STARTS,
+    build_parser,
+    main,
+    parse_profile,
+)
 from treespread.mc_sim import _GWKernel
 
 
@@ -162,6 +172,13 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--offspring", FIG_FE_ARG, "--k", "3", "--i", str(i))
         assert code == EXIT_CONFIG and out == ""
         assert err.startswith("error:") and "z-ary" in err
+
+    @pytest.mark.parametrize("i", [-1, 0, 3, 10**7])
+    def test_dominant_count_out_of_range(self, capsys, i):
+        """An --i outside [1, k] is refused by name, not by a check of k downstream."""
+        code, out, err = run(capsys, "analyze", "--offspring", "zary:6", "--k", "2", "--i", str(i))
+        assert code == EXIT_CONFIG and out == ""
+        assert err == f"error: dominant count {i} outside [1, 2]\n"
 
     def test_lone_atom_law_reports_as_zary(self, capsys):
         """A one-atom JSON law within PROB_TOL of mass 1 is zary(z): one map for every entry of the report."""
@@ -483,6 +500,56 @@ class TestBadInput:
             assert code == EXIT_CONFIG, threads
             assert "error:" in err and f"TREESPREAD_THREADS={threads!r}" in err and "Traceback" not in err
             assert out == ""
+
+
+def _option_dests(sub: str) -> set[str]:
+    """The dests of every option the subcommand's parser defines."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in subparsers.choices[sub]._actions if not isinstance(a, argparse._HelpAction)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("iterate", "--offspring", "zary:2", "--k", "2", "--profile", "uniform:2", "--format", "csv"),
+        ("analyze", "--offspring", "zary:6", "--k", "2"),
+        ("orbit", "--offspring", "zary:6", "--k", "2"),
+        ("basin", "--offspring", "zary:6", "--k", "2", "--starts", "5"),
+        ("simulate", "--offspring", "zary:2", "--profile", "uniform:2", "--height", "2", "--trials", "64",
+         "--format", "csv"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_embedded_config_is_the_subcommands_flags(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_OK, err
+    head, text = "# config: ", path.read_text()
+    cfg = json.loads(text.split("\n", 1)[0][len(head):]) if text.startswith(head) else json.loads(text)["config"]
+    assert cfg["subcommand"] == argv[0]
+    assert set(cfg) == _option_dests(argv[0]) - {"out"} | {"subcommand"}
+
+
+def test_one_parser_per_process(capsys, monkeypatch, tmp_path):
+    """After the first call no argparse parser is built, and errors leave the shared one as it was."""
+    argv = ["iterate", "--offspring", "zary:6", "--k", "2", "--profile", "uniform:2", "--max-iters", "5"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main([*argv, "--out", str(first)]) == EXIT_BUDGET
+    inits = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["iterate", "--offspring", "zary:6", "--max-iters", "many"]) == EXIT_CONFIG
+    with pytest.raises(SystemExit):
+        main(["iterate", "--help"])
+    assert main([*argv, "--out", str(second)]) == EXIT_BUDGET
+    assert inits == []
+    assert first.read_bytes() == second.read_bytes()
+    assert build_parser() is build_parser()
 
 
 class TestReproducibility:
