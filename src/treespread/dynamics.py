@@ -16,8 +16,6 @@ elementwise on arrays of points.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -167,10 +165,17 @@ def zary_map(z: int, k: int) -> ScalarMapSpec:
 
 
 def _check_x(x, k: int):
+    """x within PROB_TOL of [0, 1/k], clamped to it; x further out raises.
+
+    One min and one max settle the common case, x already inside; only x past a bound, or
+    holding a NaN (which passes, and stays NaN), is checked and clamped elementwise.
+    """
     x = np.asarray(x, dtype=float)
-    if ((x < -PROB_TOL) | (x > 1.0 / k + PROB_TOL)).any():
-        raise DynamicsError(f"x={x.tolist()!r} outside the map domain (0, 1/{k}]")
-    return x.clip(0.0, 1.0 / k)
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0 / k):
+        if ((x < -PROB_TOL) | (x > 1.0 / k + PROB_TOL)).any():
+            raise DynamicsError(f"x={x.tolist()!r} outside the map domain (0, 1/{k}]")
+        x = x.clip(0.0, 1.0 / k)
+    return x
 
 
 def _map_terms(spec: ScalarMapSpec, x):
@@ -282,42 +287,51 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     return Trajectory(states, "max_iters", max_iters, tol)
 
 
+def _state_words(states, fmt):
+    """The states as one float64 array, each distinct bit pattern formatted once.
+
+    Returns (words, cells): cells has the array's shape, one row a state (a scalar state is one
+    entry), and words[cells] are the formatted values.  fmt maps a list of Python floats to their
+    strings.  The key is the bit pattern, so 0.0 and -0.0 stay apart.
+    """
+    a = np.asarray(states, dtype=float)
+    keys, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    words = np.array(fmt(keys.view(np.float64).tolist()), dtype=object)
+    # numpy releases differ in the inverse's shape for a multi-dimensional input
+    return words, inverse.reshape(a.shape)
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV with columns n, p_1..p_{k+1} (or n, x for scalar trajectories)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    first = traj.states[0]
-    if np.isscalar(first) or isinstance(first, float):
-        writer.writerow(["n", "x"])
-        for n, x in enumerate(traj.states):
-            writer.writerow([n, f"{float(x):.17g}"])
-    else:
-        width = len(first)
-        writer.writerow(["n"] + [f"p_{i + 1}" for i in range(width)])
-        for n, state in enumerate(traj.states):
-            writer.writerow([n] + [f"{float(v):.17g}" for v in state])
-    return buf.getvalue()
+    """CSV with columns n, p_1..p_{k+1} (or n, x for scalar trajectories), values as .17g."""
+    words, cells = _state_words(traj.states, lambda vs: [f"{v:.17g}" for v in vs])
+    head = ["x"] if cells.ndim == 1 else [f"p_{i + 1}" for i in range(cells.shape[1])]
+    # no field holds a comma, quote or newline, so each row is what csv.writer writes for it
+    lines = [",".join(["n"] + head)]
+    for n, row in enumerate(cells.reshape(len(cells), -1)):
+        lines.append(",".join([str(n)] + words.take(row).tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def write_trajectory_json(traj: Trajectory, fh, config: dict) -> None:
     """Write the trajectory and its config to fh as json.dumps(obj, indent=2, sort_keys=True) + newline.
 
     obj holds stop_reason, iterations, tol, config and the states as lists of floats (a float for a
-    scalar state).  The states go out one at a time, each as unindented json.dumps writes it (a float
-    as float.__repr__ does, NaN and +-Infinity as json does) and then indented, so the whole text is
-    never held in memory.
+    scalar state).  Each distinct float is formatted once, by one json.dumps of them all (a float as
+    float.__repr__ does, NaN and +-Infinity as json does).  The states then go out one at a time,
+    indented, so the text is never held whole; the strings of the distinct values are, and when no
+    value repeats they add up to about the text of the states.
     """
     head = {"stop_reason": traj.stop_reason, "iterations": traj.iterations, "tol": traj.tol, "config": config}
     # "states" is the one top-level key indented by two spaces: strings escape their newlines
     before, after = json.dumps({**head, "states": []}, indent=2, sort_keys=True).split('\n  "states": []')
     fh.write(before + '\n  "states": [')
+    # no number json writes holds ", ", so each one it finds is a separator
+    words, cells = _state_words(traj.states, lambda vs: json.dumps(vs)[1:-1].split(", "))
     sep = "\n    "
-    for state in traj.states:
-        row = np.asarray(state, dtype=float).tolist()
-        if isinstance(row, list):
-            # no number json writes holds ", ", so each one it finds is a separator
-            fh.write(sep + "[\n      " + json.dumps(row)[1:-1].replace(", ", ",\n      ") + "\n    ]")
+    for row in cells:
+        if cells.ndim == 2:
+            fh.write(sep + "[\n      " + ",\n      ".join(words.take(row).tolist()) + "\n    ]")
         else:
-            fh.write(sep + json.dumps(row))
+            fh.write(sep + words[row])
         sep = ",\n    "
     fh.write("\n  ]" + after + "\n")

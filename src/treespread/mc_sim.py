@@ -331,6 +331,9 @@ class _LaneKernel:
         live = np.flatnonzero(flat)
         und, below = flat[live], np.zeros_like(flat)
         for t in range(_planes_needed(self.q)):
+            if t:  # compact to the words still undecided, only when another plane follows
+                still = np.flatnonzero(und)
+                live, und = live[still], und[still]
             if not live.size:
                 break
             r = draw(t, live.size)
@@ -339,8 +342,6 @@ class _LaneKernel:
                 und &= r
             else:
                 und &= ~r
-            still = np.flatnonzero(und)
-            live, und = live[still], und[still]
         return below.reshape(need.shape)
 
     def coin_draws(self, chunk_index: int, depth: int):

@@ -116,12 +116,18 @@ def parse_offspring(text: str) -> OffspringDistribution:
 
 
 def _power_sum(dist: OffspringDistribution, s, order: int):
-    """sum_z q_z z(z-1)...(z-order+1) s^(z-order), elementwise; a float for a scalar s."""
-    s = np.asarray(s, dtype=float)
-    if ((s < -PROB_TOL) | (s > 1.0 + PROB_TOL)).any():
-        raise OffspringError(f"generating function argument {s.tolist()!r} outside [0,1]")
+    """sum_z q_z z(z-1)...(z-order+1) s^(z-order), elementwise; a float for a scalar s.
+
+    s within PROB_TOL of [0, 1] is clamped to it, and s further out raises.  One min and one max
+    settle the common case, s already inside [0, 1]; only s past a bound, or holding a NaN (which
+    passes, and stays NaN), is checked and clamped elementwise.
+    """
     # a scalar stays a 0-d array, so it takes the same numpy power loop as a batch
-    s = np.asarray(s.clip(0.0, 1.0))
+    s = np.asarray(s, dtype=float)
+    if s.size and not (s.min() >= 0.0 and s.max() <= 1.0):
+        if ((s < -PROB_TOL) | (s > 1.0 + PROB_TOL)).any():
+            raise OffspringError(f"generating function argument {s.tolist()!r} outside [0,1]")
+        s = np.asarray(s.clip(0.0, 1.0))
     total = 0.0
     for z, q in dist.support:
         c = q

@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treespread import dynamics, offspring
 from treespread import (
     SANE,
     DynamicsError,
@@ -35,6 +37,7 @@ from treespread.dynamics import (
     trajectory_to_csv,
     write_trajectory_json,
 )
+from treespread.offspring import OffspringError
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
@@ -244,6 +247,65 @@ def test_point_alone_equals_point_in_batch(spec):
         assert alone == [b[i] for b in batches]
 
 
+def _old_power_sum(dist, s, order):
+    """offspring._power_sum with the elementwise range check: a mask, any() and clip on every call."""
+    s = np.asarray(s, dtype=float)
+    if ((s < -PROB_TOL) | (s > 1.0 + PROB_TOL)).any():
+        raise OffspringError(f"generating function argument {s.tolist()!r} outside [0,1]")
+    s = np.asarray(s.clip(0.0, 1.0))
+    total = 0.0
+    for z, q in dist.support:
+        c = q
+        for j in range(order):
+            c *= z - j
+        total = total + c * s ** (z - order)
+    return float(total) if s.ndim == 0 else total
+
+
+def _old_check_x(x, k):
+    """dynamics._check_x with the elementwise range check."""
+    x = np.asarray(x, dtype=float)
+    if ((x < -PROB_TOL) | (x > 1.0 / k + PROB_TOL)).any():
+        raise DynamicsError(f"x={x.tolist()!r} outside the map domain (0, 1/{k}]")
+    return x.clip(0.0, 1.0 / k)
+
+
+def _outcome(fn, arg):
+    """The exception's type and message, or the result's type, shape and bits."""
+    try:
+        r = fn(arg)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(r), np.shape(r), np.asarray(r).tobytes()
+
+
+@pytest.mark.parametrize("spec", MAPS + [ScalarMapSpec(zary(3), 1)],
+                         ids=["z6k2", "fig_fe_k3", "z4k2_a06", "fig_fe_k3_a03", "z3k1"])
+def test_range_check_matches_elementwise_form(spec, monkeypatch):
+    bounds = [-PROB_TOL, 0.0, 1.0, 1.0 / spec.k, 1.0 + PROB_TOL, 1.0 / spec.k + PROB_TOL]
+    past = [math.nextafter(b, -1.0 if b <= 0.0 else 2.0) for b in bounds]
+    points = [-0.0, math.nan] + bounds + past
+    inside = 0.5 / spec.k
+    args = [np.array(points), np.array([])]
+    for p in points:  # alone as a float and as 0-d and 1-d arrays, beside a point inside, beside a NaN
+        args += [p, np.asarray(p), np.array([p]), np.array([inside, p]), np.array([p, math.nan])]
+    fns = [
+        lambda s: pgf(spec.dist, s),
+        lambda s: pgf_deriv(spec.dist, s, 1),
+        lambda s: pgf_deriv(spec.dist, s, 2),
+        lambda x: scalar_eval(spec, x),
+        lambda x: scalar_deriv(spec, x, 1),
+        lambda x: scalar_deriv(spec, x, 2),
+    ]
+    got = [_outcome(fn, a) for fn in fns for a in args]
+    monkeypatch.setattr(offspring, "_power_sum", _old_power_sum)
+    monkeypatch.setattr(dynamics, "_check_x", _old_check_x)
+    want = [_outcome(fn, a) for fn in fns for a in args]
+    assert got == want
+    # both verdicts occur for every function
+    assert {len(o) for o in got[: len(args)]} == {len(o) for o in got[-len(args) :]} == {2, 3}
+
+
 @pytest.mark.parametrize("dist,k", [(zary(6), 2), (zary(2), 5), (FIG_FE, 3)], ids=["z6k2", "z2k5", "fig_fe_k3"])
 def test_alpha_one_is_exactly_the_standard_rule(dist, k):
     x = np.linspace(0.0, 1.0 / k, 1001)
@@ -413,21 +475,58 @@ def _dumped(traj, config):
 EDGE_FLOATS = [5e-324, 1e-05, 0.0, 1.0, -0.0, 1e-300, 0.1, 1 / 3, 2.0**-1074 * 3, 1e16, 123456789.125]
 
 
-@pytest.mark.parametrize(
+def _repeating_trajectory(rows=1200, width=4):
+    """Rows drawn from a few values: 0.0 and -0.0 in one row and in rows of their own, NaNs of two payloads."""
+    nans = np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64).view(float)
+    pool = np.concatenate([[0.0, -0.0, 1 / 3, 0.1, 5e-324, 1.0, math.inf], nans])
+    cells = pool[np.random.default_rng(7).integers(0, pool.size, size=(rows, width))]
+    cells[0, :2] = 0.0, -0.0
+    cells[1], cells[2] = 0.0, -0.0
+    return Trajectory(list(cells), "max_iters", rows - 1)
+
+
+TRAJECTORIES = pytest.mark.parametrize(
     "traj",
     [
         Trajectory([np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])], "max_iters", 1, 1e-12),
         Trajectory([np.array([1.0, 0.0]), np.array([5e-324, 1.0])], "converged", 1),
         Trajectory([np.array([math.nan, math.inf, -math.inf])], "max_iters", 0),
         Trajectory(EDGE_FLOATS, "period2", 10, 1e-05),
+        _repeating_trajectory(),
         iterate(stepper(zary(3)), uniform_profile(1), tol=1e-12),
         iterate(stepper(zary(3), 0.3), make_profile([0.4, 0.3, 0.3]), tol=1e-12),
         iterate(stepper(FIG_FE), dominant_profile(8, 4), tol=1e-12),
         iterate(lambda x: scalar_eval(zary_map(6, 2), x), 0.3, max_iters=7),
     ],
-    ids=["edge_floats", "k1_edges", "non_finite", "scalar_edges", "k1", "variant", "gw_dominant", "scalar_map"],
+    ids=["edge_floats", "k1_edges", "non_finite", "scalar_edges", "repeating", "k1", "variant", "gw_dominant",
+         "scalar_map"],
 )
+
+
+@TRAJECTORIES
 def test_trajectory_writer_matches_json_dumps(traj):
     for config in ({"k": 1, "alpha": None, "offspring": "zary:3", "format": "json"}, {}, {"s": "a\n  \"states\": []"}):
-        assert _written(traj, config) == _dumped(traj, config)
+        # as lists of lines, which pytest reports by their first difference (a diff of the long texts takes minutes)
+        assert _written(traj, config).splitlines(True) == _dumped(traj, config).splitlines(True)
 
+
+
+def _csv_written(traj):
+    """The reference: csv.writer with one .17g field per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    first = traj.states[0]
+    if np.isscalar(first) or isinstance(first, float):
+        writer.writerow(["n", "x"])
+        for n, x in enumerate(traj.states):
+            writer.writerow([n, f"{float(x):.17g}"])
+    else:
+        writer.writerow(["n"] + [f"p_{i + 1}" for i in range(len(first))])
+        for n, state in enumerate(traj.states):
+            writer.writerow([n] + [f"{float(v):.17g}" for v in state])
+    return buf.getvalue()
+
+
+@TRAJECTORIES
+def test_trajectory_csv_matches_csv_writer(traj):
+    assert trajectory_to_csv(traj).splitlines(True) == _csv_written(traj).splitlines(True)
