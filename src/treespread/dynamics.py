@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import PROB_TOL, OffspringDistribution, pgf, pgf_deriv
+from .offspring import PROB_TOL, OffspringDistribution, _clamped, pgf, pgf_deriv
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
@@ -165,17 +165,11 @@ def zary_map(z: int, k: int) -> ScalarMapSpec:
 
 
 def _check_x(x, k: int):
-    """x within PROB_TOL of [0, 1/k], clamped to it; x further out raises.
-
-    One min and one max settle the common case, x already inside; only x past a bound, or
-    holding a NaN (which passes, and stays NaN), is checked and clamped elementwise.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0 / k):
-        if ((x < -PROB_TOL) | (x > 1.0 / k + PROB_TOL)).any():
-            raise DynamicsError(f"x={x.tolist()!r} outside the map domain (0, 1/{k}]")
-        x = x.clip(0.0, 1.0 / k)
-    return x
+    """x within PROB_TOL of [0, 1/k], clamped to it (see offspring._clamped); x further out raises."""
+    clamped = _clamped(x, 1.0 / k)
+    if clamped is None:
+        raise DynamicsError(f"x={np.asarray(x, dtype=float).tolist()!r} outside the map domain (0, 1/{k}]")
+    return clamped
 
 
 def _map_terms(spec: ScalarMapSpec, x):
@@ -287,51 +281,61 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     return Trajectory(states, "max_iters", max_iters, tol)
 
 
-def _state_words(states, fmt):
-    """The states as one float64 array, each distinct bit pattern formatted once.
+def _state_text(states, fmt, sep: str, block: int = 1 << 13):
+    """The states' values as text: (n, piece) pairs, each piece values of state n joined by sep.
 
-    Returns (words, cells): cells has the array's shape, one row a state (a scalar state is one
-    entry), and words[cells] are the formatted values.  fmt maps a list of Python floats to their
-    strings.  The key is the bit pattern, so 0.0 and -0.0 stay apart.
+    The states go into float64 arrays a block of about `block` floats at a time: whole rows, or
+    slices of one row wider than a block, whose pieces after the first begin with sep.  So memory
+    stays that of one block.  np.unique on a block's int64 view finds its distinct bit patterns (so
+    0.0 and -0.0 stay apart), and fmt maps them, as a list of Python floats, to their strings: each
+    value repeated within a block is formatted once.
     """
-    a = np.asarray(states, dtype=float)
-    keys, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    words = np.array(fmt(keys.view(np.float64).tolist()), dtype=object)
-    # numpy releases differ in the inverse's shape for a multi-dimensional input
-    return words, inverse.reshape(a.shape)
+    rows = max(1, block // max(1, np.size(states[0])))
+    for i in range(0, len(states), rows):
+        a = np.asarray(states[i : i + rows], dtype=float)
+        a = a.reshape(len(a), -1)  # a scalar state is a row of one value
+        for j in range(0, a.shape[1], block):
+            part = a[:, j : j + block]
+            keys, inverse = np.unique(part.view(np.int64), return_inverse=True)
+            words = np.array(fmt(keys.view(np.float64).tolist()), dtype=object)
+            # numpy releases differ in the inverse's shape for a multi-dimensional input
+            for n, row in enumerate(words.take(inverse.reshape(part.shape)).tolist(), i):
+                yield n, (sep if j else "") + sep.join(row)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV with columns n, p_1..p_{k+1} (or n, x for scalar trajectories), values as .17g."""
-    words, cells = _state_words(traj.states, lambda vs: [f"{v:.17g}" for v in vs])
-    head = ["x"] if cells.ndim == 1 else [f"p_{i + 1}" for i in range(cells.shape[1])]
+    first = traj.states[0]
+    head = ["x"] if np.ndim(first) == 0 else [f"p_{i + 1}" for i in range(len(first))]
     # no field holds a comma, quote or newline, so each row is what csv.writer writes for it
-    lines = [",".join(["n"] + head)]
-    for n, row in enumerate(cells.reshape(len(cells), -1)):
-        lines.append(",".join([str(n)] + words.take(row).tolist()))
-    return "\n".join(lines) + "\n"
+    parts, last = [",".join(["n"] + head)], None
+    for n, piece in _state_text(traj.states, lambda vs: [f"{v:.17g}" for v in vs], ","):
+        if n != last:
+            parts.append(f"\n{n},")
+            last = n
+        parts.append(piece)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_trajectory_json(traj: Trajectory, fh, config: dict) -> None:
     """Write the trajectory and its config to fh as json.dumps(obj, indent=2, sort_keys=True) + newline.
 
     obj holds stop_reason, iterations, tol, config and the states as lists of floats (a float for a
-    scalar state).  Each distinct float is formatted once, by one json.dumps of them all (a float as
-    float.__repr__ does, NaN and +-Infinity as json does).  The states then go out one at a time,
-    indented, so the text is never held whole; the strings of the distinct values are, and when no
-    value repeats they add up to about the text of the states.
+    scalar state).  The states go out a block of floats at a time (_state_text), each distinct
+    value of a block formatted once by one json.dumps of them all (a float as float.__repr__ does,
+    NaN and +-Infinity as json does) and then indented, so the whole text is never held in memory.
     """
     head = {"stop_reason": traj.stop_reason, "iterations": traj.iterations, "tol": traj.tol, "config": config}
     # "states" is the one top-level key indented by two spaces: strings escape their newlines
     before, after = json.dumps({**head, "states": []}, indent=2, sort_keys=True).split('\n  "states": []')
     fh.write(before + '\n  "states": [')
+    opening, closing = ("[\n      ", "\n    ]") if np.ndim(traj.states[0]) else ("", "")
+    last = None
     # no number json writes holds ", ", so each one it finds is a separator
-    words, cells = _state_words(traj.states, lambda vs: json.dumps(vs)[1:-1].split(", "))
-    sep = "\n    "
-    for row in cells:
-        if cells.ndim == 2:
-            fh.write(sep + "[\n      " + ",\n      ".join(words.take(row).tolist()) + "\n    ]")
-        else:
-            fh.write(sep + words[row])
-        sep = ",\n    "
-    fh.write("\n  ]" + after + "\n")
+    for n, piece in _state_text(traj.states, lambda vs: json.dumps(vs)[1:-1].split(", "), ",\n      "):
+        if n != last:
+            fh.write((closing + ",\n    " if n else "\n    ") + opening)
+            last = n
+        fh.write(piece)
+    fh.write(closing + "\n  ]" + after + "\n")

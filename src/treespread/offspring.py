@@ -115,19 +115,30 @@ def parse_offspring(text: str) -> OffspringDistribution:
     return make_offspring([(z, q) for z, q in obj["masses"]])
 
 
+def _clamped(s, upper: float):
+    """s as a float array clamped to [0, upper], or None when a value lies more than PROB_TOL outside.
+
+    One min and one max settle the common case, s already inside; only s past a bound, or holding a
+    NaN (which passes, and stays NaN), is checked and clamped elementwise.  A 0-d s stays a 0-d array.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.size and not (s.min() >= 0.0 and s.max() <= upper):
+        if ((s < -PROB_TOL) | (s > upper + PROB_TOL)).any():
+            return None
+        s = np.asarray(s.clip(0.0, upper))
+    return s
+
+
 def _power_sum(dist: OffspringDistribution, s, order: int):
     """sum_z q_z z(z-1)...(z-order+1) s^(z-order), elementwise; a float for a scalar s.
 
-    s within PROB_TOL of [0, 1] is clamped to it, and s further out raises.  One min and one max
-    settle the common case, s already inside [0, 1]; only s past a bound, or holding a NaN (which
-    passes, and stays NaN), is checked and clamped elementwise.
+    s within PROB_TOL of [0, 1] is clamped to it (see _clamped), and s further out raises.
     """
     # a scalar stays a 0-d array, so it takes the same numpy power loop as a batch
-    s = np.asarray(s, dtype=float)
-    if s.size and not (s.min() >= 0.0 and s.max() <= 1.0):
-        if ((s < -PROB_TOL) | (s > 1.0 + PROB_TOL)).any():
-            raise OffspringError(f"generating function argument {s.tolist()!r} outside [0,1]")
-        s = np.asarray(s.clip(0.0, 1.0))
+    clamped = _clamped(s, 1.0)
+    if clamped is None:
+        raise OffspringError(f"generating function argument {np.asarray(s, dtype=float).tolist()!r} outside [0,1]")
+    s = clamped
     total = 0.0
     for z, q in dist.support:
         c = q

@@ -1,8 +1,10 @@
 import csv
+import functools
 import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,6 +512,25 @@ def test_trajectory_writer_matches_json_dumps(traj):
         assert _written(traj, config).splitlines(True) == _dumped(traj, config).splitlines(True)
 
 
+@pytest.mark.parametrize("shape", [(12, 20001), (1, 240001)], ids=["rows", "one_wide_row"])
+def test_trajectory_writer_memory_stays_one_block(shape):
+    """With no value repeated, the JSON writer holds one block of floats and its strings, not the trajectory's."""
+    traj = Trajectory(list(np.random.default_rng(3).random(shape)), "max_iters", shape[0] - 1)
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        write_trajectory_json(traj, Sink(), {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 240,012 floats: 1.8 MiB as float64, about 17 MiB as formatted strings; one row is copied at most
+    assert peak < 8 * shape[1] + 3 * 2**20
+
+
 
 def _csv_written(traj):
     """The reference: csv.writer with one .17g field per value."""
@@ -529,4 +550,14 @@ def _csv_written(traj):
 
 @TRAJECTORIES
 def test_trajectory_csv_matches_csv_writer(traj):
+    assert trajectory_to_csv(traj).splitlines(True) == _csv_written(traj).splitlines(True)
+
+
+@TRAJECTORIES
+@pytest.mark.parametrize("block", [1, 3, 9])
+def test_trajectory_writers_match_at_any_block(traj, block, monkeypatch):
+    """Blocks of one float (every row in slices of one value), of a slice of a row, and of whole rows (two of the
+    four-wide trajectories) write the reference texts too."""
+    monkeypatch.setattr(dynamics, "_state_text", functools.partial(dynamics._state_text, block=block))
+    assert _written(traj, {}).splitlines(True) == _dumped(traj, {}).splitlines(True)
     assert trajectory_to_csv(traj).splitlines(True) == _csv_written(traj).splitlines(True)
