@@ -286,7 +286,7 @@ def _state_text(states, fmt, sep: str, block: int = 1 << 13):
 
     The states go into float64 arrays a block of about `block` floats at a time: whole rows, or
     slices of one row wider than a block, whose pieces after the first begin with sep.  So memory
-    stays that of one block.  np.unique on a block's int64 view finds its distinct bit patterns (so
+    stays that of one block (and a copy of such a row as float64).  np.unique on a block's int64 view finds its distinct bit patterns (so
     0.0 and -0.0 stay apart), and fmt maps them, as a list of Python floats, to their strings: each
     value repeated within a block is formatted once.
     """
