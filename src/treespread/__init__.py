@@ -40,6 +40,6 @@ from .analysis import (
     nonuniform_spectrum,
     x_tilde,
 )
-from .mc_sim import SANE, SimConfig, SimResult, SimulationError, combine_children, simulate_root
+from .mc_sim import SimConfig, SimResult, SimulationError, simulate_root
 
 __version__ = "0.1.0"

@@ -1,16 +1,16 @@
 """Fixed points, periodic orbits, and basins of the scalar maps.
 
-Fixed points are located by bisection on the strictly decreasing auxiliary
-function h(x) = sum_z q_z sum_{j<z} (1-(k-1)x)^{z-1-j} (1-kx)^j - 1, whose
-unique zero on (0, 1/k] is the fixed point of f.  Orbit search evaluates
-f^p(x) - x on a whole grid in one call, bisects every sign-changing cell at
-once and keeps the roots of minimal period p, those that f^(p/2) moves; it
-runs on any offspring law and refuses the retention variant.  Bisection runs
-on arrays of brackets and stops once every midpoint equals an endpoint (the
-one bracket of a fixed point takes the same steps on Python floats).
-analysis_bundle finds each fixed point it reports on once.  Basin
-classification advances all unresolved starts in lockstep, one f^2 call per
-step, and watches which candidate each even-index subsequence settles on.
+Every scalar map is the standard rule's.  Fixed points are located by bisection
+on the strictly decreasing auxiliary function
+h(x) = sum_z q_z sum_{j<z} (1-(k-1)x)^{z-1-j} (1-kx)^j - 1, whose unique zero
+on (0, 1/k] is the fixed point of f.  Orbit search evaluates f^p(x) - x on a
+whole grid in one call, bisects every sign-changing cell at once and keeps the
+roots of minimal period p, those that f^(p/2) moves; it runs on any offspring
+law.  Bisection runs on arrays of brackets and stops once every midpoint
+equals an endpoint (the one bracket of a fixed point takes the same steps on
+Python floats).  analysis_bundle finds each fixed point it reports on once.
+Basin classification advances all unresolved starts in lockstep, one f^2 call
+per step, and watches which candidate each even-index subsequence settles on.
 """
 
 from __future__ import annotations
@@ -139,8 +139,6 @@ def _classify(multiplier: float) -> str:
 
 def find_fixed_point(spec: ScalarMapSpec) -> FixedPointReport:
     """Unique fixed point of f on (0, 1/k], by bisection on the monotone h."""
-    if spec.variant_alpha is not None:
-        raise DynamicsError("fixed-point search applies to the standard map only")
     dist, k = spec.dist, spec.k
     hi = 1.0 / k
     h_hi = _h(dist, k, hi)
@@ -239,13 +237,10 @@ def find_orbit(spec: ScalarMapSpec, period: int) -> OrbitReport | None:
     One scan of f^p(x) - x over the whole domain (1e-12, 1/k] finds the roots, and
     a root is kept when it has minimal period p: f^(p/2) moves it by more than
     ORBIT_EXCLUSION, which drops the fixed point and, for p = 4, every fixed point
-    of f^2.  The search calls nothing z-ary, so it runs on any offspring law; the
-    retention variant is refused, as by find_fixed_point.
+    of f^2.  The search calls nothing z-ary, so it runs on any offspring law.
     """
     if period not in (2, 4):
         raise DynamicsError(f"orbit period must be 2 or 4, got {period}")
-    if spec.variant_alpha is not None:
-        raise DynamicsError("orbit search applies to the standard map only")
     roots = np.array(_grid_roots(lambda x: _iter_map(spec, x, period) - x, 1e-12, 1.0 / spec.k))
     remaining = roots[np.abs(_iter_map(spec, roots, period // 2) - roots) > ORBIT_EXCLUSION].tolist()
     if not remaining:

@@ -4,7 +4,8 @@ Subcommands: iterate, analyze, orbit, basin, simulate.  Exit codes follow a
 fixed protocol so CI scripts can assert results directly:
 
     0  success (including converged / period2 stops)
-    1  invalid configuration, including usage errors and unreadable --config files
+    1  invalid configuration, including usage errors, unreadable --config files and
+       an iterate run whose kept states would pass dynamics.MAX_TRAJECTORY_BYTES
     2  iteration budget exhausted, or a simulate z-score above 4
     3  legitimate absence (no orbit of the requested period; for basin, no attracting 2-cycle)
 
@@ -33,8 +34,8 @@ from .dynamics import (
     iterate,
     make_profile,
     stepper,
-    trajectory_to_csv,
     uniform_profile,
+    write_trajectory_csv,
     write_trajectory_json,
 )
 from .mc_sim import SimConfig, simulate_root
@@ -112,12 +113,9 @@ def cmd_iterate(args) -> int:
     traj = iterate(stepper(dist, args.alpha), profile, max_iters=args.max_iters, tol=args.tol)
     cfg = _resolved_config(args)
     cfg["k"] = profile.k
-    if args.format == "csv":
-        body = "# config: " + json.dumps(cfg, sort_keys=True) + "\n" + trajectory_to_csv(traj)
-        _emit(body, args.out)
-    else:
-        with _output(args.out) as fh:
-            write_trajectory_json(traj, fh, cfg)
+    write = write_trajectory_csv if args.format == "csv" else write_trajectory_json
+    with _output(args.out) as fh:
+        write(traj, fh, cfg)
     return EXIT_OK if traj.stop_reason in ("converged", "period2") else EXIT_BUDGET
 
 

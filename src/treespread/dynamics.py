@@ -1,4 +1,4 @@
-"""Root-distribution recursion and the scalar maps it reduces to.
+"""Root-distribution recursion and the scalar map it reduces to.
 
 The state of the root of a height-n tree has distribution p(n) = F^n(p) where
 
@@ -6,18 +6,20 @@ The state of the root of a height-n tree has distribution p(n) = F^n(p) where
     F_sane = 1 - sum of the others.
 
 In the uniform case (all k disease masses equal to x) this collapses to the
-scalar map f(x) = G(1-(k-1)x) - G(1-kx) on (0, 1/k].  The retention variant
+scalar map f(x) = G(1-(k-1)x) - G(1-kx) on (0, 1/k], which the map and its
+derivatives evaluate elementwise on arrays of points.  The retention variant
 replaces the disease coordinate update by a three-term formula parametrised by
-alpha in (0,1].  At alpha=1 its third term is G(0) = 0 and its second is
-G(p_sane), so the standard rule drops the one and evaluates the other once, bit
-for bit the three-term value.  The maps and their derivatives evaluate
-elementwise on arrays of points.
+alpha in (0,1]; it is a rule of the recursion only.  At alpha=1 its third term
+is G(0) = 0 and its second is G(p_sane), so the standard rule drops the one and
+evaluates the other once, bit for bit the three-term value.  iterate keeps every
+state it computes, up to MAX_TRAJECTORY_BYTES of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,8 @@ DEFAULT_MAX_ITERS = 100_000
 # the most diseases any entry point accepts: a profile holds k+1 masses, and from about 10^16 on
 # the closed forms cannot tell k from k-1 in double precision
 MAX_K = 10**6
+# the most bytes (sys.getsizeof, so an array's header too) the states of one trajectory may hold
+MAX_TRAJECTORY_BYTES = 1 << 28
 
 
 class DynamicsError(ValueError):
@@ -44,18 +48,6 @@ class DiseaseProfile:
     @property
     def k(self) -> int:
         return len(self.masses) - 1
-
-    @property
-    def sane(self) -> float:
-        return self.masses[-1]
-
-    @property
-    def dominant_count(self) -> int:
-        """Number of leading disease masses exactly equal to the largest."""
-        i = 1
-        while i < self.k and self.masses[i] == self.masses[0]:
-            i += 1
-        return i
 
 
 def check_masses(masses, strict: bool = True) -> np.ndarray:
@@ -101,9 +93,9 @@ def _sum_slack(n: int) -> float:
     return 2.0 * (d + 2) * 2.0**-53 * (3.0 + 3.0 * n * PROB_TOL)
 
 
-def make_profile(masses, strict: bool = True) -> DiseaseProfile:
-    """Validate a profile vector (p_1..p_k, p_sane) as check_masses does, in canonical order."""
-    v = check_masses(masses, strict)
+def make_profile(masses) -> DiseaseProfile:
+    """Validate a profile vector (p_1..p_k, p_sane) as check_masses does, every entry positive, in canonical order."""
+    v = check_masses(masses)
     if (v[1:-1] > v[:-2]).any():
         raise DynamicsError("disease masses must be non-increasing (canonical ordering)")
     return DiseaseProfile(tuple(v.tolist()))
@@ -142,16 +134,13 @@ def _check_max_iters(max_iters: int) -> None:
 
 @dataclass(frozen=True)
 class ScalarMapSpec:
-    """The scalar map f_k (general law) or f_{z,k} (z-ary), optionally the variant."""
+    """The standard rule's scalar map f_k (general law) or f_{z,k} (z-ary)."""
 
     dist: OffspringDistribution
     k: int
-    variant_alpha: float | None = None
 
     def __post_init__(self):
         _check_k(self.k)
-        if self.variant_alpha is not None:
-            _check_alpha(self.variant_alpha)
 
     @property
     def is_zary(self) -> bool:
@@ -172,35 +161,26 @@ def _check_x(x, k: int):
     return clamped
 
 
-def _map_terms(spec: ScalarMapSpec, x):
-    """x clamped to the domain, alpha (1 for the standard rule) and a = k-1+alpha."""
-    alpha = 1.0 if spec.variant_alpha is None else spec.variant_alpha
-    return _check_x(x, spec.k), alpha, spec.k - 1 + alpha
-
-
 def scalar_eval(spec: ScalarMapSpec, x):
-    """f(x) = G(1-(k-1)x) - G(1-(k-1+alpha)x) + G((1-alpha)x) on (0, 1/k], elementwise.
+    """f(x) = G(1-(k-1)x) - G(1-kx) on (0, 1/k], elementwise.
 
     x=0 is accepted and maps to 0; a scalar x gives a float.
     """
-    x, alpha, a = _map_terms(spec, x)
-    dist = spec.dist
-    # at alpha=1 the third term is G(0), exactly 0 for every law (no mass at z=0)
-    third = 0.0 if alpha == 1.0 else pgf(dist, (1 - alpha) * x)
-    return pgf(dist, 1 - (spec.k - 1) * x) - pgf(dist, 1 - a * x) + third
+    x = _check_x(x, spec.k)
+    k, dist = spec.k, spec.dist
+    return pgf(dist, 1 - (k - 1) * x) - pgf(dist, 1 - k * x)
 
 
 def scalar_deriv(spec: ScalarMapSpec, x, order: int = 1):
     """Analytic derivative of f at x, order 1 or 2, elementwise."""
     if order not in (1, 2):
         raise DynamicsError(f"derivative order must be 1 or 2, got {order}")
-    x, alpha, a = _map_terms(spec, x)
+    x = _check_x(x, spec.k)
     k, dist = spec.k, spec.dist
     sgn = -1.0 if order == 1 else 1.0
     return (
         sgn * (k - 1) ** order * pgf_deriv(dist, 1 - (k - 1) * x, order)
-        - sgn * a**order * pgf_deriv(dist, 1 - a * x, order)
-        + (1 - alpha) ** order * pgf_deriv(dist, (1 - alpha) * x, order)
+        - sgn * k**order * pgf_deriv(dist, 1 - k * x, order)
     )
 
 
@@ -263,7 +243,8 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     Stops with 'converged' when the sup distance of consecutive states drops
     below tol, with 'period2' when states two apart agree below tol while
     consecutive ones do not, and with 'max_iters' otherwise.  Longer periods
-    are deliberately not detected here; use analysis.find_orbit.
+    are deliberately not detected here; use analysis.find_orbit.  Every state is
+    kept, and a state that would take them past MAX_TRAJECTORY_BYTES raises.
     """
     if not (tol > 0.0 and np.isfinite(tol)):
         raise DynamicsError(f"tol {tol!r} is not a positive finite number")
@@ -271,8 +252,15 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     if isinstance(start, DiseaseProfile):
         start = np.asarray(start.masses)
     states = [start]
+    held = sys.getsizeof(start)
     for n in range(max_iters):
         nxt = step(states[-1])
+        held += sys.getsizeof(nxt)
+        if held > MAX_TRAJECTORY_BYTES:
+            raise DynamicsError(
+                f"the trajectory's states would hold more than {MAX_TRAJECTORY_BYTES} bytes after {n + 1} steps;"
+                " lower max_iters"
+            )
         states.append(nxt)
         if _dist_inf(nxt, states[-2]) < tol:
             return Trajectory(states, "converged", n + 1, tol)
@@ -303,19 +291,29 @@ def _state_text(states, fmt, sep: str, block: int = 1 << 13):
                 yield n, (sep if j else "") + sep.join(row)
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV with columns n, p_1..p_{k+1} (or n, x for scalar trajectories), values as .17g."""
+def write_trajectory_csv(traj: Trajectory, fh, config: dict) -> None:
+    """Write a '# config: ' line of json.dumps(config, sort_keys=True), then the trajectory as CSV, to fh.
+
+    The columns are n, p_1..p_{k+1} (or n, x for a scalar trajectory), the values as .17g.  The
+    header and the states go out a block at a time (_state_text), so the whole text is never held
+    in memory.
+    """
     first = traj.states[0]
-    head = ["x"] if np.ndim(first) == 0 else [f"p_{i + 1}" for i in range(len(first))]
+    fh.write("# config: " + json.dumps(config, sort_keys=True) + "\nn")
+    if np.ndim(first) == 0:
+        fh.write(",x")
+    else:
+        width = len(first)
+        for i in range(0, width, 1 << 13):
+            fh.write("".join(f",p_{j + 1}" for j in range(i, min(i + (1 << 13), width))))
     # no field holds a comma, quote or newline, so each row is what csv.writer writes for it
-    parts, last = [",".join(["n"] + head)], None
+    last = None
     for n, piece in _state_text(traj.states, lambda vs: [f"{v:.17g}" for v in vs], ","):
         if n != last:
-            parts.append(f"\n{n},")
+            fh.write(f"\n{n},")
             last = n
-        parts.append(piece)
-    parts.append("\n")
-    return "".join(parts)
+        fh.write(piece)
+    fh.write("\n")
 
 
 def write_trajectory_json(traj: Trajectory, fh, config: dict) -> None:

@@ -93,8 +93,6 @@ import numpy as np
 from .dynamics import DynamicsError, _check_alpha, check_masses
 from .offspring import OffspringDistribution
 
-SANE = 0  # scalar NodeState for a non-infected node; diseases are 1..k
-
 CHUNK_TRIALS = 4096
 MAX_WORKERS = 64  # the most worker threads TREESPREAD_THREADS may ask for
 MAX_DISEASES = 63  # a node's k diseases and sane bit fit one uint64 mask
@@ -156,31 +154,6 @@ class SimResult:
     masses: tuple[float, ...]  # empirical p_1..p_k, p_sane
     stderr: tuple[float, ...]  # binomial standard error per coordinate
     trials: int
-
-
-def combine_children(states, alpha: float | None = None, rng=None):
-    """Parent state from a list of child NodeStates (ints, 0 = sane).
-
-    Standard rule: sane children are transparent; a single disease among the
-    children infects the parent, two distinct diseases (or all sane) leave it
-    sane.  Variant rule: with m infected children (by the single disease) and
-    at least one sane child, the parent stays sane with probability
-    (1-alpha)^m; unanimity and two-disease outcomes are unchanged.
-    """
-    if not states:
-        raise SimulationError("combine_children needs a nonempty list")
-    diseases = {s for s in states if s != SANE}
-    if len(diseases) != 1:
-        return SANE
-    (d,) = diseases
-    if alpha is None:
-        return d
-    n_sane = sum(1 for s in states if s == SANE)
-    if n_sane == 0:
-        return d
-    if rng is None:
-        raise SimulationError("variant rule needs an rng")
-    return SANE if rng.random() < (1.0 - alpha) ** (len(states) - n_sane) else d
 
 
 def _bits(seed: int, *key: int) -> np.random.SFC64:

@@ -64,10 +64,6 @@ class TestFixedPoint:
         assert 0 < rep.x_bar < 1 / 3
         assert rep.lower_bound is None
 
-    def test_rejects_variant(self):
-        with pytest.raises(DynamicsError):
-            find_fixed_point(ScalarMapSpec(FIG_FE, 2, variant_alpha=0.5))
-
 
 @pytest.mark.parametrize("k", range(1, 31))
 @pytest.mark.parametrize("law", [f"zary:{z}" for z in range(2, 13)] + ["three-atom"])
@@ -180,12 +176,6 @@ class TestOrbits:
     def test_rejects_bad_period(self):
         with pytest.raises(DynamicsError):
             find_orbit(zary_map(6, 2), 3)
-
-    @pytest.mark.parametrize("dist", [zary(6), FIG_FE], ids=["zary6", "three-atom"])
-    @pytest.mark.parametrize("period", [2, 4])
-    def test_rejects_variant(self, dist, period):
-        with pytest.raises(DynamicsError, match="standard map"):
-            find_orbit(ScalarMapSpec(dist, 2, variant_alpha=0.5), period)
 
     def test_conditions(self):
         assert check_orbit_conditions(6, 2) == (True, True, True)

@@ -17,6 +17,7 @@ from treespread import (
     SimulationError,
     analysis,
     check_orbit_conditions,
+    dominant_profile,
     make_offspring,
     mc_sim,
     pgf_deriv,
@@ -59,7 +60,7 @@ class TestParseProfile:
 
         with pytest.raises(ConfigError):
             parse_profile("dominant:1", None)
-        assert parse_profile("dominant:2", 4).dominant_count == 2
+        assert parse_profile("dominant:2", 4).masses == dominant_profile(4, 2).masses
 
     def test_k_conflict(self):
         from treespread.cli import ConfigError
@@ -424,6 +425,24 @@ class TestBadInput:
         assert code == EXIT_CONFIG
         assert "error:" in err and "budget" in err and "Traceback" not in err
         assert out == ""
+
+    def test_trajectory_over_budget_exits_config(self, capsys, monkeypatch, tmp_path):
+        # iterate keeps every state: at k = 10^4 the default --max-iters would hold about 8 GB of them.
+        # With the budget at 1 MiB, the run stops after about 13 states and writes nothing
+        monkeypatch.setattr("treespread.dynamics.MAX_TRAJECTORY_BYTES", 2**20)
+        path = tmp_path / "traj.json"
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys,
+                "iterate", "--offspring", "zary:12", "--profile", "dominant:2", "--k", "10000", "--out", str(path),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert "error:" in err and str(2**20) in err and "Traceback" not in err
+        assert out == "" and not path.exists() and peak < 3 * 2**20
 
     def test_too_many_basin_starts_exit_config(self, capsys):
         # 10^11 starts would take about 745 GiB; they are refused before anything is allocated

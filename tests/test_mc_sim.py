@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 from treespread import (
-    SANE,
     SimConfig,
     SimResult,
     SimulationError,
-    combine_children,
     make_offspring,
     simulate_root,
     step_full,
@@ -23,6 +21,8 @@ from treespread import (
 )
 from treespread import mc_sim
 from treespread.mc_sim import CHUNK_TRIALS, LANE_EAGER_BITS, _GWKernel, _LaneKernel, _Taker
+
+from reference import SANE, combine_children
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
