@@ -32,7 +32,6 @@ from .analysis import (
     asymptotic_multiplier,
     basin_classify,
     check_orbit_conditions,
-    classify_uniform,
     critical_points,
     find_fixed_point,
     find_orbit,

@@ -11,6 +11,7 @@ equals an endpoint (the one bracket of a fixed point takes the same steps on
 Python floats).  analysis_bundle finds each fixed point it reports on once.
 Basin classification advances all unresolved starts in lockstep, one f^2 call
 per step, and watches which candidate each even-index subsequence settles on.
+The reports are plain data: the command line (cli) writes them to files.
 """
 
 from __future__ import annotations
@@ -63,15 +64,6 @@ class BasinReport:
     verdicts: list[str]  # orbit_left | orbit_right | fixed_point | unresolved
     iterations: list[int]
     fractions: dict[str, float] = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {"fractions": self.fractions, "n_starts": len(self.starts)}
-
-    def to_csv(self) -> str:
-        lines = ["start,verdict,iterations"]
-        for s, v, n in zip(self.starts, self.verdicts, self.iterations):
-            lines.append(f"{s:.17g},{v},{n}")
-        return "\n".join(lines) + "\n"
 
 
 def _h(dist: OffspringDistribution, k: int, x: float) -> float:
@@ -187,11 +179,6 @@ def critical_points(z: int, k: int) -> CriticalPointReport:
     return CriticalPointReport(x_hat=x_hat, f_at_x_hat=scalar_eval(spec, x_hat), x_star=x_star)
 
 
-def classify_uniform(z: int, k: int) -> FixedPointReport:
-    """Fixed point of f_{z,k} with its stability verdict."""
-    return find_fixed_point(zary_map(z, k))
-
-
 def asymptotic_multiplier(z: int) -> float:
     """Limit of f'_{z,k} at the fixed point as k -> infinity."""
     if z < 2:
@@ -210,7 +197,7 @@ def nonuniform_spectrum(z: int, k: int, i: int, fixed: FixedPointReport | None =
     if not 1 <= i <= k:
         raise DynamicsError(f"dominant count {i} outside [1, {k}]")
     if fixed is None:
-        fixed = classify_uniform(z, i)
+        fixed = find_fixed_point(zary_map(z, i))
     lam2 = pgf_deriv(zary(z), 1.0 - i * fixed.x_bar)  # G'(1 - i x_bar)
     return [fixed.multiplier] + [lam2] * (k - i)
 
@@ -354,7 +341,7 @@ def analysis_bundle(spec: ScalarMapSpec, i: int | None = None) -> dict:
         report["asymptotic_multiplier"] = asymptotic_multiplier(z)
         # f_{z,j}'s fixed point, found once for the orbit conditions and the spectrum
         j = k if i is None else i
-        fixed_j = fixed if j == k else classify_uniform(z, j)
+        fixed_j = fixed if j == k else find_fixed_point(zary_map(z, j))
         if z >= 3:
             c1, c2, c3 = check_orbit_conditions(z, j, fixed_j)
             report["orbit_conditions"] = [c1, c2, c3]

@@ -12,11 +12,18 @@ fixed protocol so CI scripts can assert results directly:
 Every output embeds the resolved configuration: the subcommand and every flag
 it parsed but --out and --config, making runs self-describing; identical
 config + seed gives byte-identical output.
+
+This module is the one that knows what an output file looks like: a JSON file is
+json.dumps(obj, indent=2, sort_keys=True) and a newline, a CSV file begins with a
+'# config: ' line, and CSV values are written as .17g.  The two outputs that grow
+with their input are streamed: iterate's trajectory a block of floats at a time,
+and basin's starts a batch of BASIN_BATCH at a time, so neither is held whole as text.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import json
@@ -30,13 +37,13 @@ from . import analysis, dynamics, mc_sim
 from .dynamics import (
     DiseaseProfile,
     ScalarMapSpec,
+    Trajectory,
+    _check_max_iters,
     dominant_profile,
     iterate,
     make_profile,
     stepper,
     uniform_profile,
-    write_trajectory_csv,
-    write_trajectory_json,
 )
 from .mc_sim import SimConfig, simulate_root
 from .offspring import parse_offspring
@@ -45,8 +52,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BUDGET = 2
 EXIT_ABSENT = 3
-# basin holds every start, its verdict and its CSV row in memory at once
-MAX_STARTS = 10**6
+# basin draws, classifies and writes its starts this many at a time
+BASIN_BATCH = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -79,7 +86,18 @@ def parse_profile(text: str, k: int | None) -> DiseaseProfile:
 
 
 def _fmt(x: float) -> str:
+    """A float as every CSV value is written: .17g, which round-trips."""
     return f"{float(x):.17g}"
+
+
+def _json_text(obj) -> str:
+    """An object as every JSON output writes it, without the final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _config_line(cfg: dict) -> str:
+    """The first line of every CSV output."""
+    return "# config: " + json.dumps(cfg, sort_keys=True) + "\n"
 
 
 # parsed dests that are not part of a run's configuration
@@ -95,16 +113,81 @@ def _resolved_config(args) -> dict:
 
 def _output(out_path: str | None):
     """The --out file opened for writing, or stdout (left open) without one."""
-    return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    with _output(out_path) as fh:
-        fh.write(text)
+    if not out_path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out_path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out: {exc}") from exc
 
 
 def _json_out(obj: dict, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+    with _output(out_path) as fh:
+        fh.write(_json_text(obj) + "\n")
+
+
+def _state_text(states, fmt, sep: str, head, block: int = 1 << 13):
+    """The states' values as text pieces: row n begins with head(n), and its values are joined by sep.
+
+    The states go into float64 arrays a block of about `block` floats at a time: whole rows, or
+    slices of one row wider than a block, whose pieces after the first begin with sep.  Slices of
+    an array are views, so memory stays that of one block (a list of states copies one block).
+    np.unique on a block's int64 view finds its distinct bit patterns (so 0.0 and -0.0 stay apart),
+    and fmt maps them, as a list of Python floats, to their strings: each value repeated within a
+    block is formatted once.
+    """
+    rows = max(1, block // max(1, np.size(states[0])))
+    for i in range(0, len(states), rows):
+        a = np.asarray(states[i : i + rows], dtype=float)
+        a = a.reshape(len(a), -1)  # a scalar state is a row of one value
+        for j in range(0, a.shape[1], block):
+            part = a[:, j : j + block]
+            keys, inverse = np.unique(part.view(np.int64), return_inverse=True)
+            words = np.array(fmt(keys.view(np.float64).tolist()), dtype=object)
+            # numpy releases differ in the inverse's shape for a multi-dimensional input
+            for n, row in enumerate(words.take(inverse.reshape(part.shape)).tolist(), i):
+                yield (sep if j else head(n)) + sep.join(row)
+
+
+def write_trajectory_csv(traj: Trajectory, fh, config: dict) -> None:
+    """Write the config line, then the trajectory as CSV, to fh.
+
+    The columns are n, p_1..p_{k+1} (or n, x for a scalar trajectory), the values as .17g.  The
+    header and the states go out a block at a time (_state_text), so the
+    whole text is never held in memory.  No field holds a comma, quote or newline, so each row is
+    what csv.writer writes for it.
+    """
+    fh.write(_config_line(config) + "n")
+    if np.ndim(traj.states[0]) == 0:
+        fh.write(",x")
+    else:
+        width = len(traj.states[0])
+        for i in range(0, width, 1 << 13):
+            fh.write("".join(f",p_{j + 1}" for j in range(i, min(i + (1 << 13), width))))
+    for piece in _state_text(traj.states, lambda vs: [_fmt(v) for v in vs], ",", lambda n: f"\n{n},"):
+        fh.write(piece)
+    fh.write("\n")
+
+
+def write_trajectory_json(traj: Trajectory, fh, config: dict) -> None:
+    """Write the trajectory and its config to fh as _json_text(obj) + newline.
+
+    obj holds stop_reason, iterations, tol, config and the states as lists of floats (a float for a
+    scalar state).  The states go out a block of floats at a time (_state_text), each distinct
+    value of a block formatted once by one json.dumps of them all (a float as float.__repr__ does,
+    NaN and +-Infinity as json does) and then indented, so the whole text is never held in memory.
+    """
+    head = {"stop_reason": traj.stop_reason, "iterations": traj.iterations, "tol": traj.tol, "config": config}
+    # "states" is the one top-level key indented by two spaces: strings escape their newlines
+    before, after = _json_text({**head, "states": []}).split('\n  "states": []')
+    fh.write(before + '\n  "states": [')
+    opening, closing = ("[\n      ", "\n    ]") if np.ndim(traj.states[0]) else ("", "")
+    # no number json writes holds ", ", so each one it finds is a separator
+    pieces = _state_text(traj.states, lambda vs: json.dumps(vs)[1:-1].split(", "), ",\n      ",
+                         lambda n: (closing + ",\n    " if n else "\n    ") + opening)
+    for piece in pieces:
+        fh.write(piece)
+    fh.write(closing + "\n  ]" + after + "\n")
 
 
 def cmd_iterate(args) -> int:
@@ -138,34 +221,35 @@ def cmd_analyze(args) -> int:
 def cmd_orbit(args) -> int:
     spec = _scalar_spec(args)
     orbit = analysis.find_orbit(spec, args.period)
-    cfg = _resolved_config(args)
-    if orbit is None:
-        _json_out({"orbit": None, "config": cfg}, args.out)
-        return EXIT_ABSENT
-    obj = asdict(orbit)
-    obj["config"] = cfg
+    obj = {"orbit": None} if orbit is None else asdict(orbit)
+    obj["config"] = _resolved_config(args)
     _json_out(obj, args.out)
-    return EXIT_OK
+    return EXIT_ABSENT if orbit is None else EXIT_OK
 
 
 def cmd_basin(args) -> int:
     spec = _scalar_spec(args)
-    if not 1 <= args.starts <= MAX_STARTS:
-        raise ConfigError(f"--starts must be between 1 and {MAX_STARTS}, got {args.starts}")
+    if args.starts < 1:
+        raise ConfigError(f"--starts must be >= 1, got {args.starts}")
     orbit = analysis.find_orbit(spec, 2)
     if orbit is None or not orbit.stable:
         print("no attracting period-2 orbit; nothing to classify", file=sys.stderr)
         return EXIT_ABSENT
+    _check_max_iters(args.max_iters)  # before the header, so a refused run writes nothing
     rng = np.random.default_rng(args.seed)
-    starts = (rng.random(args.starts) * (1.0 / args.k)).tolist()
-    report = analysis.basin_classify(spec, starts, max_iters=args.max_iters, orbit=orbit)
+    counts = collections.Counter()
     cfg = _resolved_config(args)
-    body = "# config: " + json.dumps(cfg, sort_keys=True) + "\n" + report.to_csv()
-    _emit(body, args.out)
-    summary = report.to_json_obj()
-    summary["orbit"] = asdict(orbit)
-    summary["config"] = cfg
-    print(json.dumps(summary, indent=2, sort_keys=True), file=sys.stderr)
+    with _output(args.out) as fh:
+        fh.write(_config_line(cfg) + "start,verdict,iterations\n")
+        # rng.random draws the same doubles in batches as in one call, and each start's verdict is its own
+        for done in range(0, args.starts, BASIN_BATCH):
+            starts = (rng.random(min(BASIN_BATCH, args.starts - done)) * (1.0 / args.k)).tolist()
+            report = analysis.basin_classify(spec, starts, max_iters=args.max_iters, orbit=orbit)
+            fh.writelines(f"{_fmt(s)},{v},{n}\n" for s, v, n in zip(starts, report.verdicts, report.iterations))
+            counts.update(report.verdicts)
+    fractions = {v: counts[v] / args.starts for v in report.fractions}  # every verdict, also those of no start
+    summary = {"fractions": fractions, "n_starts": args.starts, "orbit": asdict(orbit), "config": cfg}
+    print(_json_text(summary), file=sys.stderr)
     return EXIT_OK
 
 
@@ -194,14 +278,11 @@ def cmd_simulate(args) -> int:
     cfg = _resolved_config(args)
     cfg["k"] = profile.k
     if args.format == "csv":
-        lines = ["# config: " + json.dumps(cfg, sort_keys=True), "coord,analytic,empirical,stderr,z"]
-        for i in range(len(analytic)):
-            name = f"p_{i + 1}" if i < profile.k else "sane"
-            lines.append(
-                f"{name},{_fmt(analytic[i])},{_fmt(result.masses[i])},"
-                f"{_fmt(result.stderr[i])},{_fmt(z_scores[i])}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        with _output(args.out) as fh:
+            fh.write(_config_line(cfg) + "coord,analytic,empirical,stderr,z\n")
+            for i, row in enumerate(zip(analytic, result.masses, result.stderr, z_scores)):
+                name = f"p_{i + 1}" if i < profile.k else "sane"
+                fh.write(",".join([name, *map(_fmt, row)]) + "\n")
     else:
         obj = {
             "analytic": [float(v) for v in analytic],
@@ -259,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basin", help="classify random starts by their limiting orbit")
     common(p)
-    p.add_argument("--starts", type=int, default=10_000, help=f"random starts, at most {MAX_STARTS}")
+    p.add_argument("--starts", type=int, default=10_000, help="random starts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=100_000)
     p.set_defaults(func=cmd_basin)

@@ -12,14 +12,13 @@ replaces the disease coordinate update by a three-term formula parametrised by
 alpha in (0,1]; it is a rule of the recursion only.  At alpha=1 its third term
 is G(0) = 0 and its second is G(p_sane), so the standard rule drops the one and
 evaluates the other once, bit for bit the three-term value.  iterate keeps every
-state it computes, up to MAX_TRAJECTORY_BYTES of them.
+state it computes in one float64 array of at most MAX_TRAJECTORY_BYTES.  Writing
+a trajectory to a file is the command line's job (cli).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ DEFAULT_MAX_ITERS = 100_000
 # the most diseases any entry point accepts: a profile holds k+1 masses, and from about 10^16 on
 # the closed forms cannot tell k from k-1 in double precision
 MAX_K = 10**6
-# the most bytes (sys.getsizeof, so an array's header too) the states of one trajectory may hold
+# the most bytes the states of one trajectory may hold, at 8 bytes a float
 MAX_TRAJECTORY_BYTES = 1 << 28
 
 
@@ -214,9 +213,9 @@ def step_variant(dist: OffspringDistribution, p, alpha: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Iterates of a stepper, with the reason iteration stopped."""
+    """Iterates of a stepper, one row of `states` each, with the reason iteration stopped."""
 
-    states: list
+    states: np.ndarray
     stop_reason: str  # converged | period2 | max_iters
     iterations: int
     tol: float = DEFAULT_TOL
@@ -244,96 +243,27 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     below tol, with 'period2' when states two apart agree below tol while
     consecutive ones do not, and with 'max_iters' otherwise.  Longer periods
     are deliberately not detected here; use analysis.find_orbit.  Every state is
-    kept, and a state that would take them past MAX_TRAJECTORY_BYTES raises.
+    kept as a row of one float64 array, and a state that would take it past
+    MAX_TRAJECTORY_BYTES raises.
     """
     if not (tol > 0.0 and np.isfinite(tol)):
         raise DynamicsError(f"tol {tol!r} is not a positive finite number")
     _check_max_iters(max_iters)
-    if isinstance(start, DiseaseProfile):
-        start = np.asarray(start.masses)
-    states = [start]
-    held = sys.getsizeof(start)
-    for n in range(max_iters):
-        nxt = step(states[-1])
-        held += sys.getsizeof(nxt)
-        if held > MAX_TRAJECTORY_BYTES:
+    x = np.asarray(start.masses) if isinstance(start, DiseaseProfile) else start
+    row = np.asarray(x, dtype=float)
+    # the start and max_iters steps, or as many rows as the budget holds (none when the start passes it)
+    states = np.empty((min(max_iters + 1, MAX_TRAJECTORY_BYTES // max(row.nbytes, 1)), *row.shape))
+    for n in range(max_iters + 1):
+        if n == len(states):
             raise DynamicsError(
-                f"the trajectory's states would hold more than {MAX_TRAJECTORY_BYTES} bytes after {n + 1} steps;"
+                f"the trajectory's states would hold more than {MAX_TRAJECTORY_BYTES} bytes after {n} steps;"
                 " lower max_iters"
             )
-        states.append(nxt)
-        if _dist_inf(nxt, states[-2]) < tol:
-            return Trajectory(states, "converged", n + 1, tol)
-        if len(states) >= 3 and _dist_inf(nxt, states[-3]) < tol:
-            return Trajectory(states, "period2", n + 1, tol)
+        if n:
+            x = step(x)  # the step's own value goes on, so a scalar map keeps getting Python floats
+        states[n] = x
+        if n and _dist_inf(x, states[n - 1]) < tol:
+            return Trajectory(states[: n + 1], "converged", n, tol)
+        if n >= 2 and _dist_inf(x, states[n - 2]) < tol:
+            return Trajectory(states[: n + 1], "period2", n, tol)
     return Trajectory(states, "max_iters", max_iters, tol)
-
-
-def _state_text(states, fmt, sep: str, block: int = 1 << 13):
-    """The states' values as text: (n, piece) pairs, each piece values of state n joined by sep.
-
-    The states go into float64 arrays a block of about `block` floats at a time: whole rows, or
-    slices of one row wider than a block, whose pieces after the first begin with sep.  So memory
-    stays that of one block (and a copy of such a row as float64).  np.unique on a block's int64 view finds its distinct bit patterns (so
-    0.0 and -0.0 stay apart), and fmt maps them, as a list of Python floats, to their strings: each
-    value repeated within a block is formatted once.
-    """
-    rows = max(1, block // max(1, np.size(states[0])))
-    for i in range(0, len(states), rows):
-        a = np.asarray(states[i : i + rows], dtype=float)
-        a = a.reshape(len(a), -1)  # a scalar state is a row of one value
-        for j in range(0, a.shape[1], block):
-            part = a[:, j : j + block]
-            keys, inverse = np.unique(part.view(np.int64), return_inverse=True)
-            words = np.array(fmt(keys.view(np.float64).tolist()), dtype=object)
-            # numpy releases differ in the inverse's shape for a multi-dimensional input
-            for n, row in enumerate(words.take(inverse.reshape(part.shape)).tolist(), i):
-                yield n, (sep if j else "") + sep.join(row)
-
-
-def write_trajectory_csv(traj: Trajectory, fh, config: dict) -> None:
-    """Write a '# config: ' line of json.dumps(config, sort_keys=True), then the trajectory as CSV, to fh.
-
-    The columns are n, p_1..p_{k+1} (or n, x for a scalar trajectory), the values as .17g.  The
-    header and the states go out a block at a time (_state_text), so the whole text is never held
-    in memory.
-    """
-    first = traj.states[0]
-    fh.write("# config: " + json.dumps(config, sort_keys=True) + "\nn")
-    if np.ndim(first) == 0:
-        fh.write(",x")
-    else:
-        width = len(first)
-        for i in range(0, width, 1 << 13):
-            fh.write("".join(f",p_{j + 1}" for j in range(i, min(i + (1 << 13), width))))
-    # no field holds a comma, quote or newline, so each row is what csv.writer writes for it
-    last = None
-    for n, piece in _state_text(traj.states, lambda vs: [f"{v:.17g}" for v in vs], ","):
-        if n != last:
-            fh.write(f"\n{n},")
-            last = n
-        fh.write(piece)
-    fh.write("\n")
-
-
-def write_trajectory_json(traj: Trajectory, fh, config: dict) -> None:
-    """Write the trajectory and its config to fh as json.dumps(obj, indent=2, sort_keys=True) + newline.
-
-    obj holds stop_reason, iterations, tol, config and the states as lists of floats (a float for a
-    scalar state).  The states go out a block of floats at a time (_state_text), each distinct
-    value of a block formatted once by one json.dumps of them all (a float as float.__repr__ does,
-    NaN and +-Infinity as json does) and then indented, so the whole text is never held in memory.
-    """
-    head = {"stop_reason": traj.stop_reason, "iterations": traj.iterations, "tol": traj.tol, "config": config}
-    # "states" is the one top-level key indented by two spaces: strings escape their newlines
-    before, after = json.dumps({**head, "states": []}, indent=2, sort_keys=True).split('\n  "states": []')
-    fh.write(before + '\n  "states": [')
-    opening, closing = ("[\n      ", "\n    ]") if np.ndim(traj.states[0]) else ("", "")
-    last = None
-    # no number json writes holds ", ", so each one it finds is a separator
-    for n, piece in _state_text(traj.states, lambda vs: json.dumps(vs)[1:-1].split(", "), ",\n      "):
-        if n != last:
-            fh.write((closing + ",\n    " if n else "\n    ") + opening)
-            last = n
-        fh.write(piece)
-    fh.write(closing + "\n  ]" + after + "\n")

@@ -20,7 +20,6 @@ from treespread import (
     asymptotic_multiplier,
     basin_classify,
     check_orbit_conditions,
-    classify_uniform,
     critical_points,
     dominant_profile,
     find_fixed_point,
@@ -102,11 +101,11 @@ def test_04_classification_matrix():
     with criterion(4, "attracting for z=3..5, repelling for z=6 (k=2..50); multiplier limits"):
         for z in (3, 4, 5):
             for k in range(2, 51):
-                rep = classify_uniform(z, k)
+                rep = find_fixed_point(zary_map(z, k))
                 assert rep.classification == "attracting"
                 assert -1.0 < rep.multiplier < 1.0
         for k in range(2, 51):
-            rep = classify_uniform(6, k)
+            rep = find_fixed_point(zary_map(6, k))
             assert rep.classification == "repelling"
             assert rep.multiplier < -1.0
         for z in range(2, 6):
@@ -158,7 +157,7 @@ def test_07_nonuniform_spectrum_and_convergence():
             for i in (2, 3):
                 for lam in nonuniform_spectrum(z, k, i):
                     assert -1.0 < lam < 1.0
-                x_bar = classify_uniform(z, i).x_bar
+                x_bar = find_fixed_point(zary_map(z, i)).x_bar
                 target = [x_bar] * i + [0.0] * (k - i) + [1.0 - i * x_bar]
                 traj = iterate(stepper(zary(z)), dominant_profile(k, i), tol=1e-12)
                 for got, want in zip(traj.final, target):

@@ -10,7 +10,6 @@ from treespread import (
     asymptotic_multiplier,
     basin_classify,
     check_orbit_conditions,
-    classify_uniform,
     critical_points,
     find_fixed_point,
     find_orbit,
@@ -132,7 +131,7 @@ class TestClosedForms:
 class TestClassification:
     @pytest.mark.parametrize("z,expected", [(3, "attracting"), (5, "attracting"), (6, "repelling")])
     def test_small_z(self, z, expected):
-        rep = classify_uniform(z, 2)
+        rep = find_fixed_point(zary_map(z, 2))
         assert rep.classification == expected
 
     def test_nonuniform_spectrum_shape(self):
@@ -140,7 +139,7 @@ class TestClassification:
         assert len(spec) == 5
         assert spec[1] == spec[2] == spec[3] == spec[4]
         # leading eigenvalue is the scalar multiplier of the i-disease map
-        assert spec[0] == classify_uniform(4, 2).multiplier
+        assert spec[0] == find_fixed_point(zary_map(4, 2)).multiplier
         with pytest.raises(DynamicsError):
             nonuniform_spectrum(4, 6, 7)
 
@@ -212,13 +211,6 @@ class TestBasins:
     def test_needs_a_positive_budget(self, max_iters):
         with pytest.raises(DynamicsError, match="max_iters"):
             basin_classify(zary_map(6, 2), [0.1], max_iters=max_iters)
-
-    def test_csv_shape(self):
-        spec = zary_map(6, 2)
-        report = basin_classify(spec, [0.4, 0.1])
-        lines = report.to_csv().strip().split("\n")
-        assert lines[0] == "start,verdict,iterations"
-        assert len(lines) == 3
 
 
 def _basin_reference(spec, x0, candidates, max_iters):

@@ -23,14 +23,15 @@ from treespread import (
     pgf_deriv,
     simulate_root,
     zary,
+    zary_map,
 )
+from treespread import cli
 from treespread.dynamics import MAX_K
 from treespread.cli import (
     EXIT_ABSENT,
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
-    MAX_STARTS,
     build_parser,
     main,
     parse_profile,
@@ -155,8 +156,8 @@ class TestAnalyze:
         assert set(obj["framing_bounds"]) == {"lower", "upper"}
         assert obj["config"] == {"subcommand": "analyze", "offspring": f"zary:{z}", "k": k, "i": i}
         monkeypatch.undo()
-        fixed_i = analysis.classify_uniform(z, i)
-        assert obj["fixed_point"] == json.loads(json.dumps(asdict(analysis.classify_uniform(z, k))))
+        fixed_i = analysis.find_fixed_point(zary_map(z, i))
+        assert obj["fixed_point"] == json.loads(json.dumps(asdict(analysis.find_fixed_point(zary_map(z, k)))))
         assert obj["orbit_conditions"] == list(check_orbit_conditions(z, i))
         lam2 = pgf_deriv(zary(z), 1.0 - i * fixed_i.x_bar)
         assert obj["nonuniform_spectrum"] == [fixed_i.multiplier] + [lam2] * (k - i)
@@ -254,6 +255,34 @@ class TestBasin:
         assert code == EXIT_OK
         fractions = json.loads(err)["fractions"]
         assert fractions["orbit_left"] + fractions["orbit_right"] >= 0.99
+
+    @pytest.mark.parametrize("starts", [40, 71])
+    def test_batches_write_what_one_batch_writes(self, capsys, monkeypatch, tmp_path, starts):
+        """40 starts are five batches of 7 and a short one, 71 starts ten and a batch of one."""
+        argv = ("basin", "--offspring", "zary:6", "--k", "2", "--starts", str(starts), "--seed", "1", "--out")
+        code, out, err = run(capsys, *argv, str(tmp_path / "one.csv"))
+        monkeypatch.setattr(cli, "BASIN_BATCH", 7)
+        assert run(capsys, *argv, str(tmp_path / "seven.csv")) == (code, out, err)
+        assert (tmp_path / "seven.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert code == EXIT_OK and len((tmp_path / "one.csv").read_text().splitlines()) == starts + 2
+
+    def test_memory_stays_one_batch(self, capsys, monkeypatch, tmp_path):
+        """basin holds one batch of starts, verdicts and rows.  With the orbit found beforehand (its grid scan peaks
+        at about 0.46 MiB), 2000 starts at a batch of 64 peak at about 42 KiB; held all at once they took 0.41 MiB."""
+        orbit = analysis.find_orbit(zary_map(6, 2), 2)
+        monkeypatch.setattr(analysis, "find_orbit", lambda spec, period: orbit)
+        monkeypatch.setattr(cli, "BASIN_BATCH", 64)
+        argv = ("basin", "--offspring", "zary:6", "--k", "2", "--out", str(tmp_path / "basin.csv"), "--starts")
+        run(capsys, *argv, "1")  # the parser and numpy's lazily made objects are not the sweep's
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv, "2000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and json.loads(err)["n_starts"] == 2000
+        assert len((tmp_path / "basin.csv").read_text().splitlines()) == 2002
+        assert peak < 2**17
 
     def test_repelling_orbit_is_absent(self, capsys):
         # f_{12,2} has a 2-cycle, but a repelling one: no start could settle on it
@@ -444,17 +473,24 @@ class TestBadInput:
         assert "error:" in err and str(2**20) in err and "Traceback" not in err
         assert out == "" and not path.exists() and peak < 3 * 2**20
 
-    def test_too_many_basin_starts_exit_config(self, capsys):
-        # 10^11 starts would take about 745 GiB; they are refused before anything is allocated
-        tracemalloc.start()
-        try:
-            code, out, err = run(capsys, "basin", "--offspring", "zary:6", "--k", "2", "--starts", "100000000000")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("iterate", "--offspring", "zary:2", "--profile", "uniform:2"),
+            ("analyze", "--offspring", "zary:6", "--k", "2"),
+            ("orbit", "--offspring", "zary:6", "--k", "2"),
+            ("basin", "--offspring", "zary:6", "--k", "2", "--starts", "5"),
+            ("simulate", "--offspring", "zary:2", "--k", "2", "--profile", "uniform:2", "--height", "2",
+             "--trials", "10"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_config(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, *argv, "--out", str(path))
         assert code == EXIT_CONFIG
-        assert "error:" in err and str(MAX_STARTS) in err and "Traceback" not in err
-        assert out == "" and peak < 2**20
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == "" and not path.parent.exists()
 
     def test_realised_tree_over_budget_exits_config(self, capsys):
         # expected 6.8^3 = 314 nodes per trial passes the budget of 400; the first seed

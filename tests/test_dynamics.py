@@ -5,7 +5,6 @@ import io
 import itertools
 import json
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treespread import dynamics, offspring
+from treespread import cli, dynamics, offspring
 from treespread import (
     DynamicsError,
     ScalarMapSpec,
@@ -36,9 +35,8 @@ from treespread.dynamics import (
     Trajectory,
     check_masses,
     stepper,
-    write_trajectory_csv,
-    write_trajectory_json,
 )
+from treespread.cli import write_trajectory_csv, write_trajectory_json
 from treespread.offspring import OffspringError
 
 from reference import SANE, combine_children
@@ -403,14 +401,21 @@ class TestIterate:
         assert traj.iterations == 5
 
     def test_states_stay_within_the_byte_budget(self, monkeypatch):
-        """Each kept state counts its sys.getsizeof bytes: six floats fit the bytes of six, not one byte less."""
+        """Each kept state counts 8 bytes a float: six states fit the bytes of six, not one byte less."""
         run = functools.partial(iterate, lambda x: scalar_eval(zary_map(6, 2), x), 0.3, max_iters=5)
-        six = 6 * sys.getsizeof(0.3)
+        six = 6 * 8
         monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", six)
         assert len(run().states) == 6
         monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", six - 1)
         with pytest.raises(DynamicsError, match=f"more than {six - 1} bytes after 5 steps"):
             run()
+
+    @pytest.mark.parametrize("budget", [0, 23])
+    def test_a_start_over_the_budget_raises(self, monkeypatch, budget):
+        """A start of three floats (24 bytes) alone passes a budget of 23 bytes, or of none: no row fits."""
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", budget)
+        with pytest.raises(DynamicsError, match=f"more than {budget} bytes after 0 steps"):
+            iterate(stepper(zary(2)), uniform_profile(2), max_iters=5)
 
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_needs_a_positive_budget(self, max_iters):
@@ -574,6 +579,6 @@ def test_trajectory_csv_matches_csv_writer(traj):
 def test_trajectory_writers_match_at_any_block(traj, block, monkeypatch):
     """Blocks of one float (every row in slices of one value), of a slice of a row, and of whole rows (two of the
     four-wide trajectories) write the reference texts too."""
-    monkeypatch.setattr(dynamics, "_state_text", functools.partial(dynamics._state_text, block=block))
+    monkeypatch.setattr(cli, "_state_text", functools.partial(cli._state_text, block=block))
     assert _written(traj, {}).splitlines(True) == _dumped(traj, {}).splitlines(True)
     assert _csv_text(traj, {}).splitlines(True) == _csv_written(traj, {}).splitlines(True)
