@@ -12,8 +12,9 @@ replaces the disease coordinate update by a three-term formula parametrised by
 alpha in (0,1]; it is a rule of the recursion only.  At alpha=1 its third term
 is G(0) = 0 and its second is G(p_sane), so the standard rule drops the one and
 evaluates the other once, bit for bit the three-term value.  iterate keeps every
-state it computes in one float64 array of at most MAX_TRAJECTORY_BYTES.  Writing
-a trajectory to a file is the command line's job (cli).
+state it computes in one float64 array, grown by doubling to at most
+MAX_TRAJECTORY_BYTES.  Writing a trajectory to a file is the command line's job
+(cli).
 """
 
 from __future__ import annotations
@@ -243,8 +244,8 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     below tol, with 'period2' when states two apart agree below tol while
     consecutive ones do not, and with 'max_iters' otherwise.  Longer periods
     are deliberately not detected here; use analysis.find_orbit.  Every state is
-    kept as a row of one float64 array, and a state that would take it past
-    MAX_TRAJECTORY_BYTES raises.
+    kept as a row of one float64 array, which doubles its rows as they fill, and a
+    state that would take it past MAX_TRAJECTORY_BYTES raises.
     """
     if not (tol > 0.0 and np.isfinite(tol)):
         raise DynamicsError(f"tol {tol!r} is not a positive finite number")
@@ -252,13 +253,18 @@ def iterate(step, start, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAUL
     x = np.asarray(start.masses) if isinstance(start, DiseaseProfile) else start
     row = np.asarray(x, dtype=float)
     # the start and max_iters steps, or as many rows as the budget holds (none when the start passes it)
-    states = np.empty((min(max_iters + 1, MAX_TRAJECTORY_BYTES // max(row.nbytes, 1)), *row.shape))
+    cap = min(max_iters + 1, MAX_TRAJECTORY_BYTES // max(row.nbytes, 1))
+    states = np.empty((min(cap, 64), *row.shape))
     for n in range(max_iters + 1):
         if n == len(states):
-            raise DynamicsError(
-                f"the trajectory's states would hold more than {MAX_TRAJECTORY_BYTES} bytes after {n} steps;"
-                " lower max_iters"
-            )
+            if n == cap:
+                raise DynamicsError(
+                    f"the trajectory's states would hold more than {MAX_TRAJECTORY_BYTES} bytes after {n} steps;"
+                    " lower max_iters"
+                )
+            # in place, by realloc, so a large array is remapped rather than copied beside itself;
+            # refcheck=False is safe as no view of states outlives a step
+            states.resize((min(2 * n, cap), *row.shape), refcheck=False)
         if n:
             x = step(x)  # the step's own value goes on, so a scalar map keeps getting Python floats
         states[n] = x

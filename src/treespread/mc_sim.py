@@ -21,7 +21,8 @@ profile's cumulative masses rounded to multiples of 2^-32; a cut that rounds to
 2^32 (no sane mass) is never reached.  uint32s are the low then the high half
 of each 64-bit word.
 
-Stream contract, version 4.  Lane leaves and coins:
+Stream contract, version 5 (version 4 had bottom blocks of 2^17 parents, so only GW
+chunks with more leaf parents than that draw differently).  Lane leaves and coins:
 
 - leaves: bit-plane t < LANE_EAGER_BITS of every leaf word, that is bit 31-t
   of each lane's uniform, from key (height, 0, t), in word order (row-major
@@ -97,8 +98,11 @@ CHUNK_TRIALS = 4096
 MAX_WORKERS = 64  # the most worker threads TREESPREAD_THREADS may ask for
 MAX_DISEASES = 63  # a node's k diseases and sane bit fit one uint64 mask
 # GW parents per bottom lane block and per window of a level above it; both even, so a
-# depth's count draws split at 64-bit word boundaries
-BLOCK_PARENTS = 1 << 17
+# depth's count draws split at 64-bit word boundaries.  A bottom block holds about
+# BLOCK_PARENTS * mean / 64 lane words per plane: 2^18 parents of the law {3, 6, 10} (mean 6.33)
+# give about 26k, near the 2^15 of a z-ary block's plane (LANE_PLANE_WORDS), so that two worker
+# threads gain more than they lose to handing over the interpreter lock
+BLOCK_PARENTS = 1 << 18
 WINDOW_PARENTS = 1 << 15
 LANE_EAGER_BITS = 12  # leaf bit-planes every lane word draws; a word with a tie draws the other 20
 # words per bit-plane of a z-ary leaf block: with fewer, the numpy calls on a plane are so short

@@ -628,8 +628,14 @@ class TestReproducibility:
              "--alpha", "0.3"),
             # each chunk spans eight leaf blocks, each of which refills its chunk's block buffers
             ("--offspring", "zary:2", "--profile", "uniform:8", "--height", "12", "--trials", "8193"),
+            # each full chunk has about 370k leaf parents (two bottom blocks) and 82k parents above
+            # them (three windows), under each rule
+            ("--offspring", '{"masses": [[3, 0.5], [6, 0.5]]}', "--profile", "0.5,0.2,0.3", "--height", "4",
+             "--trials", "8193"),
+            ("--offspring", '{"masses": [[3, 0.5], [6, 0.5]]}', "--profile", "0.5,0.2,0.3", "--height", "4",
+             "--trials", "8193", "--alpha", "0.5"),
         ],
-        ids=["gw", "zary_retention", "zary_k8"],
+        ids=["gw", "zary_retention", "zary_k8", "gw_blocks", "gw_blocks_retention"],
     )
     def test_out_independent_of_thread_count(self, capsys, tmp_path, monkeypatch, argv):
         # three chunks, so two or three threads run them concurrently

@@ -410,6 +410,29 @@ class TestIterate:
         with pytest.raises(DynamicsError, match=f"more than {six - 1} bytes after 5 steps"):
             run()
 
+    def test_rows_grow_up_to_the_byte_budget(self, monkeypatch):
+        """Past its first rows the array doubles, to at most the budget's 100 rows, and keeps every state."""
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 100 * 8)
+        traj = iterate(lambda x: x + 1.0, 0.0, max_iters=99)
+        assert traj.stop_reason == "max_iters" and traj.states.tolist() == list(range(100))
+        with pytest.raises(DynamicsError, match=f"more than {100 * 8} bytes after 100 steps"):
+            iterate(lambda x: x + 1.0, 0.0, max_iters=10**5)
+
+    def test_memory_follows_the_kept_states(self):
+        """A run that stops long before max_iters allocates for the states it keeps, not for max_iters + 1.
+
+        zary:5 at k = 50 stops on 'period2' after about 900 states of 51 floats; a first array of
+        max_iters + 1 rows would take about 40 MB.
+        """
+        tracemalloc.start()
+        try:
+            traj = iterate(stepper(zary(5)), uniform_profile(50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) < dynamics.DEFAULT_MAX_ITERS // 10
+        assert peak < 4 * len(traj.states) * traj.states[0].nbytes + 2**16
+
     @pytest.mark.parametrize("budget", [0, 23])
     def test_a_start_over_the_budget_raises(self, monkeypatch, budget):
         """A start of three floats (24 bytes) alone passes a budget of 23 bytes, or of none: no row fits."""
