@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicsError, ScalarMapSpec, _check_max_iters, scalar_deriv, scalar_eval, zary_map
+from .dynamics import (DynamicsError, ScalarMapSpec, _check_dominant, _check_max_iters, scalar_deriv,
+                       scalar_eval, zary_map)
 from .offspring import OffspringDistribution, pgf_deriv, zary
 
 BISECT_ITERS = 200
@@ -39,8 +40,6 @@ class FixedPointReport:
     multiplier: float
     classification: str  # attracting | repelling | indeterminate
     residual: float
-    lower_bound: float | None = None
-    upper_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -133,24 +132,13 @@ def find_fixed_point(spec: ScalarMapSpec) -> FixedPointReport:
     """Unique fixed point of f on (0, 1/k], by bisection on the monotone h."""
     dist, k = spec.dist, spec.k
     hi = 1.0 / k
-    h_hi = _h(dist, k, hi)
-    if h_hi >= 0.0:
+    if _h(dist, k, hi) >= 0.0:
         # h(1/k) = sum q_z k^{-(z-1)} - 1, which is 0 exactly when k = 1
         x_bar = hi
     else:
         x_bar = _bisect(lambda x: _h(dist, k, x), 1e-300, hi)
     mult = scalar_deriv(spec, x_bar, 1)
-    lower = upper = None
-    if spec.is_zary and k >= 2:
-        lower, upper = framing_bounds(dist.z_value, k)
-    return FixedPointReport(
-        x_bar=x_bar,
-        multiplier=mult,
-        classification=_classify(mult),
-        residual=abs(scalar_eval(spec, x_bar) - x_bar),
-        lower_bound=lower,
-        upper_bound=upper,
-    )
+    return FixedPointReport(x_bar, mult, _classify(mult), abs(scalar_eval(spec, x_bar) - x_bar))
 
 
 def framing_bounds(z: int, k: int) -> tuple[float, float]:
@@ -194,8 +182,7 @@ def nonuniform_spectrum(z: int, k: int, i: int, fixed: FixedPointReport | None =
     k-i times, governs the decay of the minor diseases.  `fixed` is f_{z,i}'s
     fixed point if the caller has it already.
     """
-    if not 1 <= i <= k:
-        raise DynamicsError(f"dominant count {i} outside [1, {k}]")
+    _check_dominant(i, k)
     if fixed is None:
         fixed = find_fixed_point(zary_map(z, i))
     lam2 = pgf_deriv(zary(z), 1.0 - i * fixed.x_bar)  # G'(1 - i x_bar)
@@ -326,17 +313,24 @@ def basin_classify(
 
 
 def analysis_bundle(spec: ScalarMapSpec, i: int | None = None) -> dict:
-    """One JSON-ready report combining every analysis product for a spec."""
-    if i is not None and not spec.is_zary:
+    """One JSON-ready report combining every analysis product for a spec.
+
+    The one place that asks whether the law is z-ary: all but the fixed point is z-ary only, and
+    fixed_point's framing bounds are null for any other law and for k = 1.
+    """
+    zary_law = spec.dist.is_deterministic
+    if i is not None and not zary_law:
         raise DynamicsError(f"dominant count i={i} (spectrum and orbit conditions) needs a z-ary law")
-    if i is not None and not 1 <= i <= spec.k:
-        raise DynamicsError(f"dominant count {i} outside [1, {spec.k}]")
+    if i is not None:
+        _check_dominant(i, spec.k)
     fixed = find_fixed_point(spec)
-    report = {"fixed_point": asdict(fixed)}
-    if spec.is_zary:
+    report = {"fixed_point": {**asdict(fixed), "lower_bound": None, "upper_bound": None}}
+    if zary_law:
         z, k = spec.dist.z_value, spec.k
         if k >= 2:
-            report["framing_bounds"] = {"lower": fixed.lower_bound, "upper": fixed.upper_bound}
+            lower, upper = framing_bounds(z, k)
+            report["fixed_point"].update(lower_bound=lower, upper_bound=upper)
+            report["framing_bounds"] = {"lower": lower, "upper": upper}
         report["critical_points"] = asdict(critical_points(z, k))
         report["asymptotic_multiplier"] = asymptotic_multiplier(z)
         # f_{z,j}'s fixed point, found once for the orbit conditions and the spectrum

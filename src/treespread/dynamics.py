@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import PROB_TOL, OffspringDistribution, _clamped, pgf, pgf_deriv
+from .offspring import PROB_TOL, OffspringDistribution, _clamped, pgf, pgf_deriv, zary
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
@@ -110,8 +110,7 @@ def uniform_profile(k: int) -> DiseaseProfile:
 def dominant_profile(k: int, i: int) -> DiseaseProfile:
     """Profile with i strictly dominant diseases, k-i smaller ones, sane mass 0.2."""
     _check_k(k)
-    if not 1 <= i <= k:
-        raise DynamicsError(f"dominant count {i} outside [1, {k}]")
+    _check_dominant(i, k)
     lead = 0.8 / (i + 0.5 * (k - i))
     masses = [lead] * i + [lead / 2] * (k - i)
     return make_profile(masses + [1.0 - math.fsum(masses)])
@@ -120,6 +119,11 @@ def dominant_profile(k: int, i: int) -> DiseaseProfile:
 def _check_k(k: int) -> None:
     if not 1 <= k <= MAX_K:
         raise DynamicsError(f"need 1 <= k <= {MAX_K} diseases, got {k}")
+
+
+def _check_dominant(i: int, k: int) -> None:
+    if not 1 <= i <= k:
+        raise DynamicsError(f"dominant count {i} outside [1, {k}]")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -142,14 +146,8 @@ class ScalarMapSpec:
     def __post_init__(self):
         _check_k(self.k)
 
-    @property
-    def is_zary(self) -> bool:
-        return self.dist.is_deterministic
-
 
 def zary_map(z: int, k: int) -> ScalarMapSpec:
-    from .offspring import zary
-
     return ScalarMapSpec(zary(z), k)
 
 

@@ -111,7 +111,11 @@ LANE_EAGER_BITS = 12  # leaf bit-planes every lane word draws; a word with a tie
 # planes, then one per cut) hold more than LANE_BUFFER_WORDS, those of k = 8 with eight cuts
 LANE_PLANE_WORDS = 1 << 15
 LANE_BUFFER_WORDS = 17 << 15
-LANE_MIN_WORDS = 1 << 12  # a lane level of fewer words waits for the next block
+# a lane level of fewer words per plane waits for the next block and joins that block's level, so
+# the levels near the root run as a few long numpy calls instead of short calls in every block, whose
+# fixed cost per call then dominates: with no wait (0), z2k2h15 at 16384 trials ran 8 % slower on
+# one thread and 7 % on two (2 CPUs, numpy 2.4), and z2k8h12 and z2k2h13_a05 10-20 % on two
+LANE_MIN_WORDS = 1 << 12
 DEFAULT_NODE_BUDGET = 1e8
 _U32 = float(1 << 32)
 _ONES = ~np.uint64(0)

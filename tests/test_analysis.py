@@ -54,14 +54,15 @@ class TestFixedPoint:
         assert rep.classification == "repelling"
 
     def test_bounds_attached_for_zary(self):
-        rep = find_fixed_point(zary_map(6, 2))
-        assert rep.lower_bound < rep.x_bar < rep.upper_bound
+        fp = analysis_bundle(zary_map(6, 2))["fixed_point"]
+        assert fp["lower_bound"] < fp["x_bar"] < fp["upper_bound"]
 
     def test_general_law(self):
-        rep = find_fixed_point(ScalarMapSpec(FIG_FE, 3))
+        spec = ScalarMapSpec(FIG_FE, 3)
+        rep = find_fixed_point(spec)
         assert rep.residual < 1e-14
         assert 0 < rep.x_bar < 1 / 3
-        assert rep.lower_bound is None
+        assert analysis_bundle(spec)["fixed_point"]["lower_bound"] is None
 
 
 @pytest.mark.parametrize("k", range(1, 31))

@@ -4,6 +4,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 
@@ -27,6 +30,7 @@ from treespread import (
 )
 from treespread import cli
 from treespread.dynamics import MAX_K
+from treespread.offspring import MAX_CHILDREN
 from treespread.cli import (
     EXIT_ABSENT,
     EXIT_BUDGET,
@@ -157,7 +161,9 @@ class TestAnalyze:
         assert obj["config"] == {"subcommand": "analyze", "offspring": f"zary:{z}", "k": k, "i": i}
         monkeypatch.undo()
         fixed_i = analysis.find_fixed_point(zary_map(z, i))
-        assert obj["fixed_point"] == json.loads(json.dumps(asdict(analysis.find_fixed_point(zary_map(z, k)))))
+        lower, upper = analysis.framing_bounds(z, k)
+        fixed_k = {**asdict(analysis.find_fixed_point(zary_map(z, k))), "lower_bound": lower, "upper_bound": upper}
+        assert obj["fixed_point"] == json.loads(json.dumps(fixed_k))
         assert obj["orbit_conditions"] == list(check_orbit_conditions(z, i))
         lam2 = pgf_deriv(zary(z), 1.0 - i * fixed_i.x_bar)
         assert obj["nonuniform_spectrum"] == [fixed_i.multiplier] + [lam2] * (k - i)
@@ -181,6 +187,22 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--offspring", "zary:6", "--k", "2", "--i", str(i))
         assert code == EXIT_CONFIG and out == ""
         assert err == f"error: dominant count {i} outside [1, 2]\n"
+
+    @pytest.mark.parametrize("law,k", [(FIG_FE_ARG, 3), ("zary:6", 1), ("zary:6", 2)], ids=["gw", "z6k1", "z6k2"])
+    def test_framing_bounds_in_both_places(self, capsys, law, k):
+        """x_tilde(z, k) and x_tilde(z, k-1) in fixed_point and in framing_bounds for a z-ary law at k >= 2;
+        null in fixed_point, and no framing_bounds key, otherwise."""
+        code, out, _ = run(capsys, "analyze", "--offspring", law, "--k", str(k))
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        fp = obj["fixed_point"]
+        if k == 2:
+            want = [analysis.x_tilde(6, 2), analysis.x_tilde(6, 1)]
+            assert [fp["lower_bound"], fp["upper_bound"]] == want
+            assert obj["framing_bounds"] == {"lower": want[0], "upper": want[1]}
+        else:
+            assert fp["lower_bound"] is None and fp["upper_bound"] is None
+            assert "framing_bounds" not in obj
 
     def test_lone_atom_law_reports_as_zary(self, capsys):
         """A one-atom JSON law within PROB_TOL of mass 1 is zary(z): one map for every entry of the report."""
@@ -356,6 +378,26 @@ class TestBadInput:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_CONFIG
         assert "error:" in err
+
+    @pytest.mark.parametrize("masses", ["5", "[5]", "[[2, null]]", "[[2, [1]]]"])
+    @pytest.mark.parametrize("sub", ["analyze", "orbit"])
+    def test_malformed_json_law_exits_config(self, capsys, sub, masses):
+        """A law that is no list of [z, q] pairs of numbers is refused by name, not by a TypeError."""
+        code, out, err = run(capsys, sub, "--k", "2", "--offspring", f'{{"masses": {masses}}}')
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("law", ["zary:99999999999999999999", '{"masses": [[1e20, 1]]}'])
+    def test_huge_child_count_exits_at_once(self, law):
+        """A child count past MAX_CHILDREN exits 1 before the fixed-point search sums its terms."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for sub in ("analyze", "basin"):
+            argv = [sys.executable, "-m", "treespread.cli", sub, "--offspring", law, "--k", "2"]
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+            assert proc.returncode == EXIT_CONFIG and proc.stdout == ""
+            assert proc.stderr.startswith("error:") and f"above {MAX_CHILDREN}" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("sub", ["analyze", "orbit", "basin"])
     def test_scalar_map_needs_k(self, capsys, sub):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from treespread import (
     pgf_deriv,
     zary,
 )
+from treespread.offspring import MAX_CHILDREN
 
 FIG_FE = [(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)]
 
@@ -62,10 +64,33 @@ class TestMakeOffspring:
         assert make_offspring([(np.int64(3), 1.0)]) == zary(3)
         d = make_offspring([(np.int32(2), 0.5), (np.uint8(4), 0.5)])
         assert d.support == ((2, 0.5), (4, 0.5)) and type(d.support[0][0]) is int
-        assert str(d) == '{"masses": [[2, 0.5], [4, 0.5]]}'
+        assert json.dumps([list(atom) for atom in d.support]) == "[[2, 0.5], [4, 0.5]]"
         for bad in (True, np.True_, 2.5, "3"):
             with pytest.raises(OffspringError, match="must be an integer"):
                 make_offspring([(bad, 1.0)])
+
+    @pytest.mark.parametrize(
+        "masses,match",
+        [
+            (5, "list of"),
+            ([5], r"atom 5 is not a \[z, q\] pair"),
+            ([(2, 0.5, 1)], r"atom \(2, 0.5, 1\) is not a \[z, q\] pair"),
+            ([(2, None)], "q_2=None is not a number"),
+            ([(2, [1])], r"q_2=\[1\] is not a number"),
+            ([(2, "half")], "'half' is not a number"),
+        ],
+    )
+    def test_rejects_malformed_atoms(self, masses, match):
+        with pytest.raises(OffspringError, match=match):
+            make_offspring(masses)
+
+    def test_child_count_bound(self):
+        assert make_offspring([(MAX_CHILDREN, 1.0)]) == zary(MAX_CHILDREN)
+        for z in (MAX_CHILDREN + 1, 10**20, 1e20):
+            with pytest.raises(OffspringError, match=f"above {MAX_CHILDREN}"):
+                make_offspring([(z, 1.0)])
+        with pytest.raises(OffspringError, match=f"above {MAX_CHILDREN}"):
+            make_offspring([(2, 0.5), (MAX_CHILDREN + 1, 0.5)])
 
 
 class TestPgf:
@@ -172,5 +197,5 @@ class TestParse:
 
     def test_roundtrip(self):
         d = make_offspring(FIG_FE)
-        assert parse_offspring(str(d)) == d
-        assert parse_offspring(str(zary(3))) == zary(3)
+        assert parse_offspring(json.dumps({"masses": d.support})) == d
+        assert parse_offspring("zary:3") == zary(3)
