@@ -1,17 +1,18 @@
 """Fixed points, periodic orbits, and basins of the scalar maps.
 
 Every scalar map is the standard rule's.  Fixed points are located by bisection
-on the strictly decreasing auxiliary function
-h(x) = sum_z q_z sum_{j<z} (1-(k-1)x)^{z-1-j} (1-kx)^j - 1, whose unique zero
-on (0, 1/k] is the fixed point of f.  Orbit search evaluates f^p(x) - x on a
-whole grid in one call, bisects every sign-changing cell at once and keeps the
-roots of minimal period p, those that f^(p/2) moves; it runs on any offspring
-law.  Bisection runs on arrays of brackets and stops once every midpoint
-equals an endpoint (the one bracket of a fixed point takes the same steps on
-Python floats).  analysis_bundle finds each fixed point it reports on once.
-Basin classification advances all unresolved starts in lockstep, one f^2 call
-per step, and watches which candidate each even-index subsequence settles on.
-The reports are plain data: the command line (cli) writes them to files.
+on the strictly decreasing auxiliary function h(x) = f(x)/x - 1, whose unique
+zero on (0, 1/k] is the fixed point of f; h takes f(x) = G(a) - G(a - x),
+with a = 1-(k-1)x, from offspring's term loop on Python floats, in O(atoms).
+Orbit search evaluates f^p(x) - x on a whole grid in one call, bisects every
+sign-changing cell at once and keeps the roots of minimal period p, those that
+f^(p/2) moves; it runs on any offspring law.  Bisection runs on arrays of
+brackets and stops once every midpoint equals an endpoint (the one bracket of a
+fixed point takes the same steps on Python floats).  analysis_bundle finds each
+fixed point it reports on once.  Basin classification advances all unresolved
+starts in lockstep, one f^2 call per step, and watches which candidate each
+even-index subsequence settles on.  The reports are plain data: the command line
+(cli) writes them to files.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dynamics import (DynamicsError, ScalarMapSpec, _check_dominant, _check_max_iters, scalar_deriv,
                        scalar_eval, zary_map)
-from .offspring import OffspringDistribution, pgf_deriv, zary
+from .offspring import OffspringDistribution, _terms, pgf_deriv, zary
 
 BISECT_ITERS = 200
 CLASSIFY_DEADZONE = 1e-9
@@ -66,15 +67,8 @@ class BasinReport:
 
 
 def _h(dist: OffspringDistribution, k: int, x: float) -> float:
-    a = 1.0 - (k - 1) * x
-    b = 1.0 - k * x
-    total = 0.0
-    for z, q in dist.support:
-        s = 0.0
-        for j in range(z):
-            s += a ** (z - 1 - j) * b**j
-        total += q * s
-    return total - 1.0
+    """h(x) = f(x)/x - 1 for a Python float x in (0, 1/k], a Python float."""
+    return _terms(dist, 1.0 - (k - 1) * x, 0, x) / x - 1.0
 
 
 def _bisect(g, lo, hi):
@@ -86,9 +80,8 @@ def _bisect(g, lo, hi):
     """
     if np.ndim(lo) == 0:
         # one bracket (a fixed point's) takes the array branch's steps, stop rule, endpoint returns
-        # and final midpoint on Python floats, without numpy's per-call overhead; float ** calls
-        # the C library pow, as the numpy scalars it replaces did, so x_bar keeps every bit
-        # (numpy's array power can differ from pow by an ULP and move x_bar)
+        # and final midpoint on Python floats, without numpy's per-call overhead: given the same g,
+        # both branches return the same bits
         a, b = float(lo), float(hi)
         glo, ghi = g(a), g(b)
         if glo != 0.0 and ghi != 0.0 and (glo > 0) == (ghi > 0):

@@ -358,7 +358,11 @@ _CONFIG_FLAG.add_argument("--config")
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice the defaults of a --config JSON file into argv; explicit flags win."""
+    """Splice the defaults of a --config JSON file into argv; explicit flags win.
+
+    A "subcommand" key, as every output's embedded config has, must name the subcommand given, so an
+    output's config replays the run that wrote it.
+    """
     known, argv = _CONFIG_FLAG.parse_known_args(argv)
     if known.config is None:
         return argv
@@ -369,13 +373,18 @@ def _apply_config(argv: list[str]) -> list[str]:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     if not isinstance(defaults, dict):
         raise ConfigError("config file must hold a JSON object of option values")
+    given = argv[0] if argv and not argv[0].startswith("-") else None
+    wanted = defaults.pop("subcommand", given)
+    if wanted != given:
+        instead = f"not {given!r}" if given else "and none is given"
+        raise ConfigError(f"config file is for subcommand {wanted!r}, {instead}")
     extra = []
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
         if flag not in argv and value is not None:
             extra += [flag, value if isinstance(value, str) else json.dumps(value)]
-    if argv and not argv[0].startswith("-"):
-        return [argv[0]] + extra + argv[1:]
+    if given:
+        return [given] + extra + argv[1:]
     return argv + extra
 
 

@@ -9,12 +9,14 @@ In the uniform case (all k disease masses equal to x) this collapses to the
 scalar map f(x) = G(1-(k-1)x) - G(1-kx) on (0, 1/k], which the map and its
 derivatives evaluate elementwise on arrays of points.  The retention variant
 replaces the disease coordinate update by a three-term formula parametrised by
-alpha in (0,1]; it is a rule of the recursion only.  At alpha=1 its third term
-is G(0) = 0 and its second is G(p_sane), so the standard rule drops the one and
-evaluates the other once, bit for bit the three-term value.  iterate keeps every
-state it computes in one float64 array, grown by doubling to at most
-MAX_TRAJECTORY_BYTES.  Writing a trajectory to a file is the command line's job
-(cli).
+alpha in (0,1]; it is a rule of the recursion only.  Every difference of G here
+is one call of offspring's term loop with a gap, never a subtraction of two
+values of G: f is G(a) - G(a - x) with a = 1-(k-1)x, and a step is
+G(a) - G(a - alpha d) with a = p_sane + d, plus G((1-alpha)d) when alpha < 1.  At
+alpha = 1, alpha d is d bit for bit, so the standard rule is the variant's
+alpha = 1.  iterate keeps every state it computes in one float64 array, grown by
+doubling to at most MAX_TRAJECTORY_BYTES.  Writing a trajectory to a file is the
+command line's job (cli).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import PROB_TOL, OffspringDistribution, _clamped, pgf, pgf_deriv, zary
+from .offspring import PROB_TOL, OffspringDistribution, _clamped, _power_sum, _terms, pgf, zary
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
@@ -160,41 +162,39 @@ def _check_x(x, k: int):
 
 
 def scalar_eval(spec: ScalarMapSpec, x):
-    """f(x) = G(1-(k-1)x) - G(1-kx) on (0, 1/k], elementwise.
+    """f(x) = G(a) - G(a - x) with a = 1-(k-1)x, on (0, 1/k], elementwise.
 
     x=0 is accepted and maps to 0; a scalar x gives a float.
     """
     x = _check_x(x, spec.k)
-    k, dist = spec.k, spec.dist
-    return pgf(dist, 1 - (k - 1) * x) - pgf(dist, 1 - k * x)
+    # a stays 0-d for a 0-d x: arithmetic on a 0-d array gives a numpy scalar, whose ** is the C pow
+    f = _terms(spec.dist, np.asarray(1.0 - (spec.k - 1) * x), 0, x)
+    return float(f) if x.ndim == 0 else f
 
 
 def scalar_deriv(spec: ScalarMapSpec, x, order: int = 1):
-    """Analytic derivative of f at x, order 1 or 2, elementwise."""
+    """Analytic derivative of f at x, order 1 or 2, elementwise.
+
+    f' = G'(a) - k [G'(a) - G'(a - x)] and f'' = k^2 [G''(a) - G''(a - x)] - (2k-1) G''(a), each bracket
+    one difference of the term loop.
+    """
     if order not in (1, 2):
         raise DynamicsError(f"derivative order must be 1 or 2, got {order}")
     x = _check_x(x, spec.k)
     k, dist = spec.k, spec.dist
-    sgn = -1.0 if order == 1 else 1.0
-    return (
-        sgn * (k - 1) ** order * pgf_deriv(dist, 1 - (k - 1) * x, order)
-        - sgn * k**order * pgf_deriv(dist, 1 - k * x, order)
-    )
+    a = np.asarray(1.0 - (k - 1) * x)  # 0-d for a 0-d x, as in scalar_eval
+    g, diff = _terms(dist, a, order), _terms(dist, a, order, x)
+    d = g - k * diff if order == 1 else k * k * diff - (2 * k - 1) * g
+    return float(d) if x.ndim == 0 else d
 
 
 def _step(dist: OffspringDistribution, v: np.ndarray, alpha: float) -> np.ndarray:
     sane, d = v[-1], v[:-1]
     out = np.empty_like(v)
-    if alpha == 1.0:
-        # the standard rule: sane + 0*d is sane and G(0) = 0, so G(sane) is one 0-d value
-        # (the same numpy power loop as a batch) and the third term is dropped
-        out[:-1] = pgf(dist, np.minimum(sane + d, 1.0)) - pgf(dist, sane)
-    else:
-        out[:-1] = (
-            pgf(dist, np.minimum(sane + d, 1.0))
-            - pgf(dist, sane + d * (1 - alpha))
-            + pgf(dist, (1 - alpha) * d)
-        )
+    # G(a) - G(a - alpha d) with a = sane + d; at alpha = 1, alpha * d is d and a - d stands for sane
+    out[:-1] = _power_sum(dist, np.minimum(sane + d, 1.0), 0, alpha * d)
+    if alpha < 1.0:
+        out[:-1] += pgf(dist, (1 - alpha) * d)
     out[-1] = 1.0 - out[:-1].sum()
     return out
 

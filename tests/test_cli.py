@@ -387,6 +387,19 @@ class TestBadInput:
         assert code == EXIT_CONFIG and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "masses,entry",
+        [("[[2, true]]", "q_2=True"), ('[[2, "0.5"], [3, "0.5"]]', "q_2='0.5'"), (f"[[2, 1{'0' * 400}]]", "q_2=1000")],
+        ids=["true", "strings", "huge-int"],
+    )
+    @pytest.mark.parametrize("sub", ["analyze", "orbit"])
+    def test_bool_and_string_masses_exit_config(self, capsys, sub, masses, entry):
+        """JSON true and numeric strings are no masses, though float() takes them for 1.0 and 0.5; an integer
+        too large for a float is refused as outside (0, 1], not by an OverflowError."""
+        code, out, err = run(capsys, sub, "--k", "2", "--offspring", f'{{"masses": {masses}}}')
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("error:") and entry in err
+
     @pytest.mark.parametrize("law", ["zary:99999999999999999999", '{"masses": [[1e20, 1]]}'])
     def test_huge_child_count_exits_at_once(self, law):
         """A child count past MAX_CHILDREN exits 1 before the fixed-point search sums its terms."""
@@ -625,6 +638,46 @@ def test_embedded_config_is_the_subcommands_flags(capsys, tmp_path, argv):
     cfg = json.loads(text.split("\n", 1)[0][len(head):]) if text.startswith(head) else json.loads(text)["config"]
     assert cfg["subcommand"] == argv[0]
     assert set(cfg) == _option_dests(argv[0]) - {"out"} | {"subcommand"}
+
+
+def _embedded_config(text: str) -> dict:
+    """The config an output embeds: a CSV's first line, or a JSON object's "config"."""
+    head = "# config: "
+    return json.loads(text.split("\n", 1)[0][len(head):]) if text.startswith(head) else json.loads(text)["config"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("iterate", "--offspring", "zary:5", "--profile", "uniform:4", "--tol", "1e-12"),
+        ("analyze", "--offspring", GW_6_12, "--k", "3"),
+        ("orbit", "--offspring", "zary:12", "--k", "2", "--period", "4"),
+        ("basin", "--offspring", "zary:6", "--k", "2", "--starts", "50", "--seed", "3"),
+        ("simulate", "--offspring", FIG_FE_ARG, "--profile", "0.5,0.2,0.3", "--height", "3", "--trials", "256",
+         "--alpha", "0.5", "--format", "csv"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_embedded_config_replays_its_run(capsys, tmp_path, argv):
+    """An output's config, given back as --config to its subcommand, writes the same bytes."""
+    first, cfg, again = tmp_path / "first", tmp_path / "cfg.json", tmp_path / "again"
+    code, _, err = run(capsys, *argv, "--out", str(first))
+    assert code == EXIT_OK, err
+    cfg.write_text(json.dumps(_embedded_config(first.read_text())))
+    code, _, err = run(capsys, argv[0], "--config", str(cfg), "--out", str(again))
+    assert code == EXIT_OK, err
+    assert again.read_bytes() == first.read_bytes()
+    other = "orbit" if argv[0] == "analyze" else "analyze"
+    code, out, err = run(capsys, other, "--config", str(cfg))
+    assert code == EXIT_CONFIG and out == ""
+    assert err == f"error: config file is for subcommand {argv[0]!r}, not {other!r}\n"
+
+
+def test_config_naming_a_subcommand_needs_it_given(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "analyze", "offspring": "zary:6", "k": 2}))
+    want = "error: config file is for subcommand 'analyze', and none is given\n"
+    assert run(capsys, "--config", str(cfg)) == (EXIT_CONFIG, "", want)
 
 
 def test_one_parser_per_process(capsys, monkeypatch, tmp_path):

@@ -39,7 +39,7 @@ from treespread.dynamics import (
 from treespread.cli import write_trajectory_csv, write_trajectory_json
 from treespread.offspring import OffspringError
 
-from reference import SANE, combine_children
+from reference import SANE, combine_children, exact_map, exact_step, within_bound
 
 FIG_FE = make_offspring([(3, 1 / 3), (6, 1 / 3), (10, 1 / 3)])
 
@@ -228,18 +228,13 @@ def test_point_alone_equals_point_in_batch(spec):
         assert alone == [b[i] for b in batches]
 
 
-def _old_power_sum(dist, s, order):
+def _old_power_sum(dist, s, order, gap=None):
     """offspring._power_sum with the elementwise range check: a mask, any() and clip on every call."""
     s = np.asarray(s, dtype=float)
     if ((s < -PROB_TOL) | (s > 1.0 + PROB_TOL)).any():
         raise OffspringError(f"generating function argument {s.tolist()!r} outside [0,1]")
     s = np.asarray(s.clip(0.0, 1.0))
-    total = 0.0
-    for z, q in dist.support:
-        c = q
-        for j in range(order):
-            c *= z - j
-        total = total + c * s ** (z - order)
+    total = offspring._terms(dist, s, order, gap)
     return float(total) if s.ndim == 0 else total
 
 
@@ -289,28 +284,22 @@ def test_range_check_matches_elementwise_form(spec, monkeypatch):
 @pytest.mark.parametrize("dist,k", [(zary(6), 2), (zary(2), 5), (FIG_FE, 3)], ids=["z6k2", "z2k5", "fig_fe_k3"])
 def test_alpha_one_is_exactly_the_standard_rule(dist, k):
     x = np.linspace(0.0, 1.0 / k, 1001)
-    a, b = 1 - k * x, 1 - (k - 1) * x  # the standard formulas, written out
-    standard = [
-        pgf(dist, b) - pgf(dist, a),
-        k * pgf_deriv(dist, a, 1) - (k - 1) * pgf_deriv(dist, b, 1),
-        (k - 1) ** 2 * pgf_deriv(dist, b, 2) - k**2 * pgf_deriv(dist, a, 2),
-    ]
     spec = ScalarMapSpec(dist, k)
     got = [scalar_eval(spec, x), scalar_deriv(spec, x, 1), scalar_deriv(spec, x, 2)]
-    for g, want in zip(got, standard):
-        assert np.array_equal(g, want)
+    for order, g in enumerate(got):
+        for xi, gi in zip(x.tolist(), g.tolist()):
+            assert within_bound(gi, *exact_map(dist, k, xi, order)), (order, xi)
     rng = np.random.default_rng(k)
     for p in rng.dirichlet(np.ones(k + 1), size=20):
-        sane = p[-1]
-        want = pgf(dist, np.minimum(sane + p[:-1], 1.0)) - pgf(dist, sane)
-        assert np.array_equal(step_full(dist, p)[:-1], want)
+        for gi, want in zip(step_full(dist, p).tolist(), exact_step(dist, p)):
+            assert within_bound(gi, *want)
         assert np.array_equal(step_variant(dist, p, 1.0), step_full(dist, p))
 
 
 @pytest.mark.parametrize("dist,k", [(zary(2), 1), (zary(5), 4), (zary(12), 30), (FIG_FE, 3), (FIG_FE, 20)],
                          ids=["z2k1", "z5k4", "z12k30", "fig_fe_k3", "fig_fe_k20"])
 def test_standard_rule_matches_the_three_term_formula(dist, k):
-    """step_full and scalar_eval drop G(0) and take G(sane) once: bit-equal to the three terms with alpha = 1."""
+    """step_full and scalar_eval are the three terms with alpha = 1, G(0) dropped, within the exact bound."""
     rng = np.random.default_rng(k)
     points = list(rng.dirichlet(np.ones(k + 1), size=40))
     for j, p in enumerate(points[:20]):
@@ -322,14 +311,13 @@ def test_standard_rule_matches_the_three_term_formula(dist, k):
         points.append(p)
     points += [np.eye(k + 1)[0], np.eye(k + 1)[-1]]
     for p in points:
-        sane, d = p[-1], p[:-1]
-        want = pgf(dist, np.minimum(sane + d, 1.0)) - pgf(dist, sane + d * 0.0) + pgf(dist, 0.0 * d)
         got = step_full(dist, p)
-        assert got[:-1].tobytes() == want.tobytes()
-        assert got[-1] == 1.0 - want.sum()
+        for gi, want in zip(got[:-1].tolist(), exact_step(dist, p)):
+            assert within_bound(gi, *want)
+        assert got[-1] == 1.0 - got[:-1].sum()
     x = np.concatenate([[0.0, 1.0 / k], rng.random(200) / k])
-    want = pgf(dist, 1 - (k - 1) * x) - pgf(dist, 1 - k * x) + pgf(dist, 0.0 * x)
-    assert scalar_eval(ScalarMapSpec(dist, k), x).tobytes() == want.tobytes()
+    for xi, gi in zip(x.tolist(), scalar_eval(ScalarMapSpec(dist, k), x).tolist()):
+        assert within_bound(gi, *exact_map(dist, k, xi))
 
 
 class _Coin:

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ class TestMakeOffspring:
     def test_rejects_malformed_atoms(self, masses, match):
         with pytest.raises(OffspringError, match=match):
             make_offspring(masses)
+
+    @pytest.mark.parametrize(
+        "masses,match",
+        [
+            ([(2, True)], "q_2=True is not a number"),
+            ([(2, np.True_)], r"q_2=(np\.True_|True) is not a number"),  # its repr before numpy 2 is True
+            ([(2, "0.5"), (3, "0.5")], "q_2='0.5' is not a number"),
+            ([(2, 0.5), (3, b"0.5")], "q_3=b'0.5' is not a number"),
+        ],
+        ids=["bool", "numpy-bool", "strings", "bytes"],
+    )
+    def test_rejects_bool_and_string_masses(self, masses, match):
+        """float() would take each of these for a mass: True as 1.0 and "0.5" as 0.5."""
+        with pytest.raises(OffspringError, match=match):
+            make_offspring(masses)
+
+    def test_mass_too_large_for_a_float(self):
+        with pytest.raises(OffspringError, match=r"q_2=10{400} outside \(0,1\]"):
+            make_offspring([(2, 10**400)])
+
+    def test_real_masses_of_any_type(self):
+        assert make_offspring([(2, 1)]) == zary(2)
+        assert make_offspring([(2, np.float32(0.5)), (3, Fraction(1, 2))]).support == ((2, 0.5), (3, 0.5))
 
     def test_child_count_bound(self):
         assert make_offspring([(MAX_CHILDREN, 1.0)]) == zary(MAX_CHILDREN)
