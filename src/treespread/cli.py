@@ -26,6 +26,7 @@ import argparse
 import collections
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -88,6 +89,11 @@ def parse_profile(text: str, k: int | None) -> DiseaseProfile:
 def _fmt(x: float) -> str:
     """A float as every CSV value is written: .17g, which round-trips."""
     return f"{float(x):.17g}"
+
+
+def _basin_rows(starts, verdicts, iterations) -> str:
+    """basin's CSV rows start,verdict,iterations in one format call; %.17g writes what _fmt does."""
+    return "%.17g,%s,%d\n" * len(starts) % tuple(itertools.chain.from_iterable(zip(starts, verdicts, iterations)))
 
 
 def _json_text(obj) -> str:
@@ -245,7 +251,7 @@ def cmd_basin(args) -> int:
         for done in range(0, args.starts, BASIN_BATCH):
             starts = (rng.random(min(BASIN_BATCH, args.starts - done)) * (1.0 / args.k)).tolist()
             report = analysis.basin_classify(spec, starts, max_iters=args.max_iters, orbit=orbit)
-            fh.writelines(f"{_fmt(s)},{v},{n}\n" for s, v, n in zip(starts, report.verdicts, report.iterations))
+            fh.write(_basin_rows(starts, report.verdicts, report.iterations))
             counts.update(report.verdicts)
     fractions = {v: counts[v] / args.starts for v in report.fractions}  # every verdict, also those of no start
     summary = {"fractions": fractions, "n_starts": args.starts, "orbit": asdict(orbit), "config": cfg}

@@ -63,10 +63,14 @@ A config and seed give the same output at any worker count, and the same as
 drawing every substream whole at once.  Of W workers, worker w runs chunks w,
 w + W, w + 2W, ... one at a time, with one scratch dict of arrays that its
 chunks refill in turn: an array is kept while it is big enough, else replaced
-by one of the size asked for.  A chunk streams its nodes up the tree and stores
-no level whole.  A z-ary chunk draws its leaves in blocks of whole subtrees,
-sized in words per bit-plane (LANE_PLANE_WORDS) so that its numpy calls stay
-long as k grows, with its bytes capped for large k (LANE_BUFFER_WORDS).  Every
+by one of the size asked for.  Worker 0 is the calling process and the others
+are processes forked for the call, which send their integer counts back
+through pipes; where os.fork is missing every chunk runs in the caller.
+
+A chunk streams its nodes up the tree and stores no level whole.  A z-ary
+chunk draws its leaves in blocks of whole subtrees, sized in words per
+bit-plane (LANE_PLANE_WORDS) so that its numpy calls stay long as k grows,
+with its bytes capped for large k (LANE_BUFFER_WORDS).  Every
 level of a block is written into the free rows of the block buffers, and every
 depth keeps a carry (a copy) of the children whose parent is not complete yet.
 
@@ -82,10 +86,12 @@ level sizes, and the bottom-up pass re-draws them as the children arrive.
 
 from __future__ import annotations
 
+import json
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import selectors
+import signal
+import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -95,20 +101,20 @@ from .dynamics import DynamicsError, _check_alpha, check_masses
 from .offspring import OffspringDistribution
 
 CHUNK_TRIALS = 4096
-MAX_WORKERS = 64  # the most worker threads TREESPREAD_THREADS may ask for
+MAX_WORKERS = 64  # the most worker processes TREESPREAD_THREADS may ask for, the caller included
 MAX_DISEASES = 63  # a node's k diseases and sane bit fit one uint64 mask
 # GW parents per bottom lane block and per window of a level above it; both even, so a
-# depth's count draws split at 64-bit word boundaries.  A bottom block holds about
-# BLOCK_PARENTS * mean / 64 lane words per plane: 2^18 parents of the law {3, 6, 10} (mean 6.33)
-# give about 26k, near the 2^15 of a z-ary block's plane (LANE_PLANE_WORDS), so that two worker
-# threads gain more than they lose to handing over the interpreter lock
+# depth's count draws split at 64-bit word boundaries.  Which leaves a parent takes depends on
+# the blocks, so BLOCK_PARENTS is part of stream version 5, and another value changes GW output.
+# A bottom block holds about BLOCK_PARENTS * mean / 64 lane words per plane: 2^18 parents of the
+# law {3, 6, 10} (mean 6.33) give about 26k, near the 2^15 of a z-ary block's plane
 BLOCK_PARENTS = 1 << 18
 WINDOW_PARENTS = 1 << 15
 LANE_EAGER_BITS = 12  # leaf bit-planes every lane word draws; a word with a tie draws the other 20
-# words per bit-plane of a z-ary leaf block: with fewer, the numpy calls on a plane are so short
-# that two worker threads lose more to handing over the interpreter lock than they gain.  Blocks for
-# k <= 2 hold 4 LANE_PLANE_WORDS across their k+1 planes instead, and no block's buffer rows (its
-# planes, then one per cut) hold more than LANE_BUFFER_WORDS, those of k = 8 with eight cuts
+# words per bit-plane of a z-ary leaf block: every numpy call on a plane has a fixed cost, and at
+# 2^13 words z2k2h15 and z2k8h12 (16384 trials, one worker) ran 19 % and 10 % slower than at 2^15
+# (2 CPUs, numpy 2.4).  No block's buffer rows (its planes, then one per cut) hold more than
+# LANE_BUFFER_WORDS, those of k = 8 with eight cuts
 LANE_PLANE_WORDS = 1 << 15
 LANE_BUFFER_WORDS = 17 << 15
 # a lane level of fewer words per plane waits for the next block and joins that block's level, so
@@ -203,11 +209,10 @@ class _LaneKernel:
     def block_positions(self, words: int, z: int) -> int:
         """Leaf positions per z-ary block: whole subtrees of the lowest levels.
 
-        A plane of a block holds LANE_PLANE_WORDS words, or 4 LANE_PLANE_WORDS / (k+1) if that
-        is more, as long as the block's rows of buffers hold no more than LANE_BUFFER_WORDS.
+        A plane of a block holds LANE_PLANE_WORDS words, as long as the block's rows of buffers
+        hold no more than LANE_BUFFER_WORDS.
         """
-        plane_words = max(LANE_PLANE_WORDS, 4 * LANE_PLANE_WORDS // (self.k + 1))
-        plane_words = min(plane_words, LANE_BUFFER_WORDS // (self.k + 1 + len(self.cuts)))
+        plane_words = min(LANE_PLANE_WORDS, LANE_BUFFER_WORDS // (self.k + 1 + len(self.cuts)))
         per_block, span = max(1, plane_words // words), 1
         while span * z <= per_block and span < z**self.cfg.height:
             span *= z
@@ -641,14 +646,100 @@ def _draw_u32(bits, n: int) -> np.ndarray:
     return bits.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
 
 
+class _Children:
+    """The forked workers of one simulate_root call, and the sum of the counts they sent back.
+
+    Each child runs its chunks, writes its outcome to its own pipe and leaves by os._exit.  On
+    leaving the with block, by return or by raise, every child still listed is killed and reaped.
+    """
+
+    def __init__(self):
+        self.selector = selectors.DefaultSelector()  # the read end of each child's pipe, with (worker, pid)
+        self.counts = 0
+
+    def __enter__(self) -> _Children:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for key in list(self.selector.get_map().values()):
+            self.selector.unregister(key.fd)
+            os.close(key.fd)
+            try:
+                os.kill(key.data[1], signal.SIGKILL)
+                os.waitpid(key.data[1], 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already, by an interrupted collect
+                pass
+        self.selector.close()
+
+    def fork(self, worker: int, work) -> None:
+        """Run work() in a forked child, which sends back its counts or its exception's type and message."""
+        read, write = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12 warns about fork() in a process with other threads, and numpy's BLAS
+                # pool is one.  The child runs only chunks and os._exit: it imports nothing
+                # (simulate_root imported numpy.random) and takes no lock another thread can hold.
+                warnings.filterwarnings("ignore", r"This process .* fork\(\)", DeprecationWarning)
+                pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:
+            try:  # the child never returns into the caller's stack, whatever happens
+                try:
+                    outcome = ([int(n) for n in work()], None)
+                except BaseException as exc:
+                    outcome = (None, (type(exc).__name__, str(exc), isinstance(exc, SimulationError)))
+                message = memoryview(json.dumps(outcome).encode())
+                while message:
+                    message = message[os.write(write, message) :]
+            finally:
+                os._exit(0)
+        os.close(write)
+        self.selector.register(read, selectors.EVENT_READ, (worker, pid))
+
+    def collect(self, wait: bool) -> None:
+        """Add the counts of every child that has finished, or with wait of every child once all have, and reap it.
+
+        A child's outcome is whole once its pipe reads end of file.  Raises the first error a
+        child sent back: a SimulationError as itself, any other as a RuntimeError naming it.
+        """
+        while self.selector.get_map():
+            for key, _ in self.selector.select(None if wait else 0):
+                data = b""
+                while part := os.read(key.fd, 1 << 16):
+                    data += part
+                worker, pid = key.data
+                _, status = os.waitpid(pid, 0)
+                self.selector.unregister(key.fd)
+                os.close(key.fd)
+                if not data:
+                    raise RuntimeError(f"simulation worker {worker} ended with no result (wait status {status})")
+                counts, error = json.loads(data)
+                if error is not None:
+                    name, message, simulation_error = error
+                    if simulation_error:
+                        raise SimulationError(message)
+                    raise RuntimeError(f"simulation worker {worker} raised {name}: {message}")
+                self.counts = self.counts + np.array(counts, dtype=np.int64)
+            if not wait:
+                return
+
+
 def simulate_root(cfg: SimConfig) -> SimResult:
     """Empirical root distribution over cfg.trials freshly sampled trees.
 
     Refuses configs whose expected node count per trial (mean^height) exceeds
     cfg.node_budget.  TREESPREAD_THREADS (0..MAX_WORKERS, 0 for every CPU) caps
-    the worker count.  Worker w runs chunks w, w + W, w + 2W, ... of the W
-    workers, one at a time with one scratch dict; a chunk that raises stops the
-    other workers at their next chunk.  Results are identical at any worker count.
+    the worker count W.  Worker w runs chunks w, w + W, w + 2W, ... one at a time
+    with one scratch dict.  Worker 0 is the calling process; each other worker is
+    a child forked for this call, which sends its counts back through a pipe, and
+    the counts are summed as integers.  Without os.fork every chunk runs in this
+    process.  The caller checks on its children between its own chunks: a chunk
+    that raises, in any worker, kills and reaps every child before the error is
+    raised here, a SimulationError as itself.  Results are identical at any
+    worker count.
     """
     log_nodes = cfg.height * math.log(cfg.dist.mean)  # mean^height overflows a float on tall trees
     if log_nodes > math.log(cfg.node_budget):
@@ -666,26 +757,24 @@ def simulate_root(cfg: SimConfig) -> SimResult:
     # every trial of a z-ary tree has the same shape, so z-ary chunks run 64 trials per word
     kernel = _LaneKernel(cfg) if cfg.dist.is_deterministic else _GWKernel(cfg)
     n_chunks = -(-cfg.trials // CHUNK_TRIALS)
-    workers = min(threads or os.cpu_count() or 1, n_chunks)
-    failed = threading.Event()
+    workers = min(threads or os.cpu_count() or 1, n_chunks) if hasattr(os, "fork") else 1
 
-    def run(worker: int) -> np.ndarray:
-        scratch, counts = {}, 0
-        try:
-            for c in range(worker, n_chunks, workers):
-                if failed.is_set():
-                    break
-                counts += kernel.chunk(c, min(CHUNK_TRIALS, cfg.trials - c * CHUNK_TRIALS), scratch)
-        except BaseException:
-            failed.set()
-            raise
-        return counts
+    def chunks(worker: int):
+        scratch = {}
+        for c in range(worker, n_chunks, workers):
+            yield kernel.chunk(c, min(CHUNK_TRIALS, cfg.trials - c * CHUNK_TRIALS), scratch)
 
-    if workers == 1:
-        counts = run(0)  # on this thread: a pool thread would take a malloc arena of its own
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(run, range(workers)))  # an integer sum, the same in any order
+    import numpy.random  # noqa: F401  the chunks' first draw imports it: here, not in every child
+
+    with _Children() as children:
+        for worker in range(1, workers):
+            children.fork(worker, partial(sum, chunks(worker)))
+        counts = 0
+        for part in chunks(0):
+            counts += part
+            children.collect(wait=False)
+        children.collect(wait=True)
+        counts = counts + children.counts  # an integer sum, the same in any order
 
     p_hat = counts / cfg.trials
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / cfg.trials)

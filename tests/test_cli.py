@@ -306,6 +306,16 @@ class TestBasin:
         assert len((tmp_path / "basin.csv").read_text().splitlines()) == 2002
         assert peak < 2**17
 
+    def test_rows_in_one_format_call(self):
+        """A batch's rows in one %-format are the bytes of formatting each row with _fmt, also at edge starts."""
+        starts = [0.0, 5e-324, 1.5e-310, 1 / 3, math.nextafter(0.5, 0.0), 0.1]
+        verdicts = ["orbit_left", "orbit_right", "fixed_point", "unresolved", "orbit_left", "orbit_right"]
+        iterations = [0, 1, 17, 100000, 3, 2**40]
+        want = "".join(f"{cli._fmt(s)},{v},{n}\n" for s, v, n in zip(starts, verdicts, iterations))
+        assert cli._basin_rows(starts, verdicts, iterations) == want
+        assert "4.9406564584124654e-324," in want and "0.49999999999999994," in want
+        assert cli._basin_rows([], [], []) == ""
+
     def test_repelling_orbit_is_absent(self, capsys):
         # f_{12,2} has a 2-cycle, but a repelling one: no start could settle on it
         code, _, err = run(capsys, "basin", "--offspring", "zary:12", "--k", "2", "--starts", "5")
@@ -596,10 +606,10 @@ class TestBadInput:
         assert out == ""
 
     def test_invalid_thread_count_names_the_variable(self, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was built")
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker process was forked")
 
-        monkeypatch.setattr(mc_sim, "ThreadPoolExecutor", no_pool)  # so no value starts a thread
+        monkeypatch.setattr(os, "fork", no_fork)  # so no value starts a worker
         for threads in ("abc", "-1", str(mc_sim.MAX_WORKERS + 1)):
             monkeypatch.setenv("TREESPREAD_THREADS", threads)
             code, out, err = run(
@@ -610,6 +620,27 @@ class TestBadInput:
             assert code == EXIT_CONFIG, threads
             assert "error:" in err and f"TREESPREAD_THREADS={threads!r}" in err and "Traceback" not in err
             assert out == ""
+
+    def test_forked_worker_error_exits_1(self, capsys, monkeypatch):
+        """A SimulationError raised in worker 1's chunk, a forked process, exits 1 with its message and no traceback."""
+        chunk = mc_sim._LaneKernel.chunk
+
+        def refused(self, chunk_index, n_trials, scratch):
+            if chunk_index == 1:
+                raise SimulationError(f"chunk 1 refused in process {os.getpid()}")
+            return chunk(self, chunk_index, n_trials, scratch)
+
+        monkeypatch.setattr(mc_sim._LaneKernel, "chunk", refused)
+        monkeypatch.setenv("TREESPREAD_THREADS", "2")
+        code, out, err = run(
+            capsys,
+            "simulate", "--offspring", "zary:2", "--k", "2", "--profile", "uniform:2",
+            "--height", "2", "--trials", str(2 * mc_sim.CHUNK_TRIALS),
+        )
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: chunk 1 refused in process ") and "Traceback" not in err
+        assert int(err.split()[-1]) != os.getpid()
+        assert out == ""
 
 
 def _option_dests(sub: str) -> set[str]:

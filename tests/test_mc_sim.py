@@ -1,10 +1,12 @@
 import itertools
 import math
+import os
 import random
 import re
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,7 +111,7 @@ class TestConfig:
             refused.append(over)
         assert any(refused) and not all(refused)
 
-    def test_leaf_budget_checked_on_the_way_up(self, monkeypatch):
+    def test_leaf_budget_checked_on_the_way_up(self, monkeypatch, tmp_path):
         """A tree over the budget at its leaves only is refused by the bottom level, block by block.
 
         level_sizes stops at the leaf parents and accepts the config.  The bottom level draws
@@ -119,24 +121,24 @@ class TestConfig:
         monkeypatch.setattr(mc_sim, "BLOCK_PARENTS", 4)
         cfg = next(_over_budget(leaves_only=True))
         assert len(_GWKernel(cfg).level_sizes(0, 1)) == cfg.height
-        calls = _record_calls(monkeypatch, _LaneKernel, "leaves")
+        calls = _record_calls(monkeypatch, tmp_path, _LaneKernel, "leaves")
         with pytest.raises(SimulationError) as refused:
             simulate_root(cfg)
         bottom = _reference_levels(cfg, 0, 1)[-1]
         leaves_so_far = np.cumsum([bottom[i : i + 4].sum() for i in range(0, bottom.size, 4)])
-        assert 0 < len(calls) == np.argmax(leaves_so_far > cfg.node_budget)
+        assert 0 < len(calls.rows()) == np.argmax(leaves_so_far > cfg.node_budget)
         message = str(refused.value)
         assert f"depth {cfg.height} " in message and f"budget of {cfg.node_budget:.3g} " in message
         assert re.findall(r"\d+", message.replace(f"{cfg.node_budget:.3g}", "")) == [str(cfg.height), "1"]
 
-    def test_upper_budget_checked_before_any_leaf(self, monkeypatch):
+    def test_upper_budget_checked_before_any_leaf(self, monkeypatch, tmp_path):
         """A tree over the budget above its leaves is refused by level_sizes, before any leaf is drawn."""
         cfg = next(_over_budget(leaves_only=False))
         depth = next(d for d, counts in enumerate(_reference_levels(cfg, 0, 1), 1) if counts.sum() > cfg.node_budget)
-        calls = _record_calls(monkeypatch, _LaneKernel, "leaves")
+        calls = _record_calls(monkeypatch, tmp_path, _LaneKernel, "leaves")
         with pytest.raises(SimulationError, match=f"depth {depth} .*budget"):
             simulate_root(cfg)
-        assert depth < cfg.height and not calls
+        assert depth < cfg.height and not calls.rows()
 
 
 def _over_budget(leaves_only: bool):
@@ -152,16 +154,38 @@ def _over_budget(leaves_only: bool):
             yield cfg
 
 
-def _record_calls(monkeypatch, cls, name: str) -> list:
-    """The arguments of every later call of method `name` of cls, which still runs."""
-    calls, method = [], getattr(cls, name)
+class _Log:
+    """Rows of integers that any process appends, the caller or a forked worker, and the caller reads.
+
+    Each row is one os.write to a file opened to append, so the rows of concurrent processes
+    never interleave, and a worker's rows are all there once simulate_root has reaped it.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def add(self, *fields: int) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (" ".join(map(str, fields)) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def rows(self) -> list[tuple[int, ...]]:
+        return [tuple(map(int, line.split())) for line in self.path.read_text().splitlines()]
+
+
+def _record_calls(monkeypatch, tmp_path, cls, name: str) -> _Log:
+    """One row, the process id, for every later call of method `name` of cls, which still runs, in any worker."""
+    log, method = _Log(tmp_path / f"{name}.calls"), getattr(cls, name)
 
     def recorded(self, *args):
-        calls.append(args)
+        log.add(os.getpid())
         return method(self, *args)
 
     monkeypatch.setattr(cls, name, recorded)
-    return calls
+    return log
 
 
 def _simulate(cfg: SimConfig, workers: int) -> SimResult:
@@ -547,7 +571,7 @@ def test_stream_identity_deep_trees(z, height, trials, k, kind, alpha):
 @pytest.mark.parametrize("alpha", [None, 0.3])
 @pytest.mark.parametrize("k", [2, 8])
 @pytest.mark.parametrize("blocks", ["three_positions", "five_positions", "whole_tree"])
-def test_stream_identity_any_block_size(monkeypatch, blocks, k, alpha):
+def test_stream_identity_any_block_size(monkeypatch, tmp_path, blocks, k, alpha):
     """The contract does not name the leaf block size: any block_positions gives the reference's result.
 
     Blocks of three positions leave a carry at the leaf level and at every level above it, and
@@ -558,17 +582,19 @@ def test_stream_identity_any_block_size(monkeypatch, blocks, k, alpha):
     height = 7
     per_block = {"three_positions": 3, "five_positions": 5, "whole_tree": 2**height}[blocks]
     monkeypatch.setattr(_LaneKernel, "block_positions", lambda self, words, z: per_block)
-    calls = _record_calls(monkeypatch, _LaneKernel, "leaves")
+    calls = _record_calls(monkeypatch, tmp_path, _LaneKernel, "leaves")
     cfg = SimConfig(zary(2), _profile("random", k), height=height, trials=4097, alpha=alpha, seed=17)
     _assert_same_stream(cfg)
-    assert len(calls) == 4 * -(-(2**height) // per_block)  # two chunks, at one worker and again at two
+    # two chunks, at one worker and again at two, where the second chunk runs in a forked worker
+    pids = [pid for (pid,) in calls.rows()]
+    assert len(pids) == 4 * -(-(2**height) // per_block) and len(set(pids)) == 2
 
 
 def test_block_positions_per_plane():
-    """Leaf blocks hold 2^15 words per plane, 2^17 across the planes for k <= 2, within the buffer words of k = 8.
+    """Leaf blocks hold 2^15 words per plane, within the buffer words of k = 8.
 
     At 64-word chunks z2k2 and z2k8 take 512 positions, z3k3 486 (two subtrees of 243) and k = 63
-    only 64.  For k <= 3 the blocks are those of the rule of 2^17 words across the planes.
+    only 64.  For k <= 3 the blocks are those of the rule of 2^15 words per plane.
     """
     def kernel(z, k, kind="uniform"):
         return _LaneKernel(SimConfig(zary(z), _profile(kind, k), height=20, trials=1))
@@ -576,7 +602,7 @@ def test_block_positions_per_plane():
     assert [kernel(z, k).block_positions(64, z) for z, k in ((2, 2), (2, 8), (3, 3), (2, 63))] == [512, 512, 486, 64]
     for z, k, kind in itertools.product((2, 3, 5), (1, 2, 3), ("uniform", "zero_sane")):
         for words in range(1, 65):
-            per_block, span = max(1, 2**17 // ((k + 1) * words)), 1
+            per_block, span = max(1, 2**15 // words), 1
             while span * z <= per_block and span < z**20:
                 span *= z
             assert kernel(z, k, kind).block_positions(words, z) == per_block // span * span, (z, k, kind, words)
@@ -1036,7 +1062,8 @@ def test_gw_and_variant_chunk_memory_is_bounded(dist, profile, height, alpha, tr
 def test_chunks_in_flight_are_bounded(monkeypatch):
     """With two workers simulate_root runs one chunk per worker at a time, so its peak does not grow with the chunk count.
 
-    Handing every chunk to the pool at once took about 2 KB per chunk.
+    tracemalloc sees only the calling process, that is worker 0 and what the caller keeps of
+    the forked worker's counts.  Handing every chunk to a pool at once took about 2 KB per chunk.
     """
     monkeypatch.setattr(mc_sim, "CHUNK_TRIALS", 1)
     peaks, results = [], []
@@ -1055,7 +1082,9 @@ def test_chunks_in_flight_are_bounded(monkeypatch):
 def test_chunks_are_walked_lazily(monkeypatch):
     """simulate_root sizes each chunk as it starts it: 2^32 trials, 2^20 chunks, allocate nothing up front.
 
-    A list of the chunks' sizes would hold 8 MiB before the first chunk ran.
+    A list of the chunks' sizes would hold 8 MiB before the first chunk ran.  tracemalloc sees
+    only the calling process: at two workers, worker 0 and the start of the forked worker,
+    which the first chunk's error kills.
     """
 
     class Stop(Exception):
@@ -1077,69 +1106,163 @@ def test_chunks_are_walked_lazily(monkeypatch):
         assert peak < 2**20, f"{workers} workers: peak {peak} bytes"
 
 
-def _record_chunks(monkeypatch, n_trials: int = 64) -> list:
-    """(chunk index, trials, scratch dict, thread) of every later chunk of _LaneKernel, which still runs.
+def _record_chunks(monkeypatch, tmp_path, n_trials: int = 64) -> _Log:
+    """Rows (chunk index, trials, process id, id of the scratch dict) of every later chunk of _LaneKernel, which still runs.
 
     Chunks hold n_trials trials.
     """
     monkeypatch.setattr(mc_sim, "CHUNK_TRIALS", n_trials)
-    calls, chunk = [], _LaneKernel.chunk
+    log, chunk = _Log(tmp_path / "chunks"), _LaneKernel.chunk
 
     def recorded(self, chunk_index, n_trials, scratch):
-        calls.append((chunk_index, n_trials, scratch, threading.get_ident()))
+        log.add(chunk_index, n_trials, os.getpid(), id(scratch))
         return chunk(self, chunk_index, n_trials, scratch)
 
     monkeypatch.setattr(_LaneKernel, "chunk", recorded)
-    return calls
+    return log
 
 
-def test_workers_take_a_static_stride(monkeypatch):
-    """Of 3 workers, worker w runs chunks w, w + 3, ..., each worker passing its own scratch dict to all of them."""
-    calls = _record_chunks(monkeypatch)
+def test_workers_take_a_static_stride(monkeypatch, tmp_path):
+    """Of 3 workers, worker w runs chunks w, w + 3, ..., each in its own process with one scratch dict for all of them.
+
+    Worker 0 is the calling process.
+    """
+    calls = _record_chunks(monkeypatch, tmp_path)
     cfg = SimConfig(zary(2), (0.4, 0.25, 0.35), height=3, trials=6 * 64 + 10, seed=3)
     got = _simulate(cfg, 3)
-    assert sorted((c, n) for c, n, _, _ in calls) == [(c, 64) for c in range(6)] + [(6, 10)]
-    by_dict = {}
-    for c, _, scratch, thread in calls:
-        by_dict.setdefault(id(scratch), set()).add((c % 3, thread))
-    # three dicts, each used by one residue on one thread, and no residue in two of them; a pool
-    # thread may run a second worker once its first is done
-    assert len(by_dict) == 3 and all(len(v) == 1 for v in by_dict.values())
-    assert sorted(v.pop()[0] for v in by_dict.values()) == [0, 1, 2]
+    rows = calls.rows()
+    assert sorted((c, n) for c, n, _, _ in rows) == [(c, 64) for c in range(6)] + [(6, 10)]
+    by_pid = {}
+    for c, _, pid, scratch in rows:
+        by_pid.setdefault(pid, set()).add((c % 3, scratch))
+    # three processes, each with one residue and one scratch dict (ids are only unique within a process)
+    assert len(by_pid) == 3 and all(len(v) == 1 for v in by_pid.values())
+    assert sorted(next(iter(v))[0] for v in by_pid.values()) == [0, 1, 2]
+    assert next(iter(by_pid[os.getpid()]))[0] == 0
     assert got == _simulate(cfg, 1)
 
 
-def test_one_worker_runs_on_the_calling_thread(monkeypatch):
-    """One worker starts no pool: every chunk runs on this thread, with one scratch dict."""
+def test_one_worker_runs_on_the_calling_thread(monkeypatch, tmp_path):
+    """One worker forks no process: every chunk runs on this thread, with one scratch dict."""
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was built")
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a worker process was forked")
 
-    calls = _record_chunks(monkeypatch)
-    monkeypatch.setattr(mc_sim, "ThreadPoolExecutor", no_pool)
+    calls = _record_chunks(monkeypatch, tmp_path)
+    monkeypatch.setattr(os, "fork", no_fork)
     _simulate(SimConfig(zary(2), (0.5, 0.5), height=2, trials=5 * 64, seed=1), 1)
-    assert [c for c, _, _, _ in calls] == list(range(5))
-    assert {(id(scratch), thread) for _, _, scratch, thread in calls} == {(id(calls[0][2]), threading.get_ident())}
+    rows = calls.rows()
+    assert [c for c, _, _, _ in rows] == list(range(5))
+    assert {(pid, scratch) for _, _, pid, scratch in rows} == {(os.getpid(), rows[0][3])}
 
 
-def test_a_failed_chunk_stops_the_other_workers(monkeypatch):
-    """Once a chunk raises, the other workers start no further chunk, so the error is not held back for the rest."""
+def test_no_fork_runs_every_chunk_in_process(monkeypatch, tmp_path):
+    """Where os.fork is missing, any worker count runs every chunk in this process, with the same result."""
+    calls = _record_chunks(monkeypatch, tmp_path)
+    cfg = SimConfig(zary(2), (0.4, 0.25, 0.35), height=3, trials=5 * 64 + 1, seed=2)
+    want = _simulate(cfg, 1)
+    monkeypatch.delattr(os, "fork")
+    assert _simulate(cfg, 3) == want
+    rows = calls.rows()
+    assert [c for c, _, _, _ in rows] == 2 * list(range(6)) and {pid for _, _, pid, _ in rows} == {os.getpid()}
+
+
+def test_a_failed_chunk_stops_the_other_workers(monkeypatch, tmp_path):
+    """Once a chunk raises, in the caller or in a forked worker, the other workers start no further chunk.
+
+    So the error is not held back for the rest.  Chunk 0 runs in the caller, chunk 1 in a
+    forked worker, whose error comes back as a RuntimeError naming it.
+    """
 
     class Stop(Exception):
         pass
 
-    seen = []
-
-    def chunk(self, chunk_index, n_trials, scratch):
-        if chunk_index == 0:
-            raise Stop
-        seen.append(chunk_index)
-        time.sleep(0.002)
-        return np.zeros(2, dtype=np.int64)
-
     monkeypatch.setattr(mc_sim, "CHUNK_TRIALS", 1)
-    monkeypatch.setattr(_LaneKernel, "chunk", chunk)
-    with pytest.raises(Stop):
-        _simulate(SimConfig(zary(2), (0.5, 0.5), height=1, trials=600, seed=1), 3)
-    # without the stop the other two workers would run all 399 of their chunks
-    assert len(seen) < 100, len(seen)
+    for failing, raised in ((0, pytest.raises(Stop)), (1, pytest.raises(RuntimeError, match="worker 1 raised Stop"))):
+        seen = _Log(tmp_path / f"seen{failing}")
+
+        def chunk(self, chunk_index, n_trials, scratch):
+            if chunk_index == failing:
+                raise Stop
+            seen.add(chunk_index)
+            time.sleep(0.002)
+            return np.zeros(2, dtype=np.int64)
+
+        monkeypatch.setattr(_LaneKernel, "chunk", chunk)
+        with raised:
+            _simulate(SimConfig(zary(2), (0.5, 0.5), height=1, trials=600, seed=1), 3)
+        # without the stop the other two workers would run all 399 of their chunks
+        assert len(seen.rows()) < 100, (failing, len(seen.rows()))
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("outcome", ["returns", "forked_error", "caller_interrupted"])
+def test_no_worker_outlives_the_call(monkeypatch, outcome):
+    """After simulate_root returns or raises, every forked worker is reaped; one still running is killed.
+
+    An interrupted caller kills its workers at once: here each of them would sleep for a minute.
+    """
+    caller = os.getpid()
+    monkeypatch.setattr(mc_sim, "CHUNK_TRIALS", 1)
+    chunk = _LaneKernel.chunk
+
+    def patched(self, chunk_index, n_trials, scratch):
+        if outcome == "forked_error" and chunk_index == 1:
+            raise SimulationError("chunk 1 refused")
+        if outcome == "caller_interrupted":
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+        return chunk(self, chunk_index, n_trials, scratch)
+
+    monkeypatch.setattr(_LaneKernel, "chunk", patched)
+    cfg = SimConfig(zary(2), (0.5, 0.5), height=2, trials=8, seed=1)
+    assert _no_child_left()
+    start = time.perf_counter()
+    if outcome == "returns":
+        _simulate(cfg, 3)
+    else:
+        with pytest.raises(SimulationError if outcome == "forked_error" else KeyboardInterrupt):
+            _simulate(cfg, 3)
+    assert _no_child_left()
+    assert time.perf_counter() - start < 30
+
+
+def test_forks_beside_another_thread_with_warnings_as_errors(monkeypatch):
+    """Two workers give the one-worker result while another thread is alive, with every warning an error.
+
+    Python 3.12 warns when os.fork runs in a process with other threads; simulate_root
+    silences that one warning around its fork, as its children only run chunks.  os.fork
+    here gives the same warning on any version.
+    """
+    fork = os.fork
+
+    def fork_that_warns():
+        pid = fork()
+        if pid and threading.active_count() > 1:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to"
+                          " deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_that_warns)
+    cfg = SimConfig(zary(2), (0.4, 0.25, 0.35), height=6, trials=2 * CHUNK_TRIALS + 1, seed=9)
+    want = _simulate(cfg, 1)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(60,))
+    other.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _simulate(cfg, 2)
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert got == want
